@@ -57,18 +57,6 @@ const MC_GATE_SAMPLES: usize = 2 * MC_GROUP_CHUNKS * MC_CHUNK_SAMPLES;
 /// index build without inflating a single op into seconds.
 const BENCH_WAFERS: usize = 4;
 
-fn git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|out| out.status.success())
-        .and_then(|out| String::from_utf8(out.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
-}
-
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut smoke = false;
@@ -103,7 +91,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     };
     let engine = Engine::from_env();
     let threads = engine.threads();
-    let rev = git_rev();
+    let rev = focal_bench::GIT_REV;
 
     let mut records: Vec<BenchRecord> = Vec::new();
     let add = |records: &mut Vec<BenchRecord>, kernel: &str, m: Measurement| {
@@ -113,7 +101,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             ns_per_op: m.ns_per_op,
             iters: m.iters,
             threads,
-            git_rev: rev.clone(),
+            git_rev: rev.to_string(),
         });
     };
     eprintln!(

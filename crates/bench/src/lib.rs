@@ -3,8 +3,8 @@
 //! One binary per paper figure (`fig1`, `fig3`, … `fig9`), a `findings`
 //! binary that recomputes all 17 findings (+ the §7 case study) with
 //! paper-vs-measured tables, and ablation binaries for the design choices
-//! DESIGN.md calls out. Criterion benches (`cargo bench -p focal-bench`)
-//! time the model kernels behind each figure.
+//! DESIGN.md calls out. The `bench` binary times the model kernels and
+//! every suite stage.
 //!
 //! Every binary prints the figure's series as an ASCII chart plus a CSV
 //! dump on stdout, so `cargo run -p focal-bench --bin fig3 > fig3.csv`
@@ -15,6 +15,11 @@
 pub mod dump;
 pub mod micro;
 pub mod suite;
+
+/// `git rev-parse --short HEAD` of the checkout this crate was built
+/// from (`unknown` outside a git checkout), stamped at build time. Bench
+/// records and serve responses carry it as their provenance revision.
+pub const GIT_REV: &str = env!("FOCAL_GIT_REV");
 
 use focal_studies::Figure;
 

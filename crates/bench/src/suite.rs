@@ -30,7 +30,7 @@ use focal_core::{
     classify_over_range_on, DesignPoint, E2oRange, ModelError, Result, Scenario, SweepMemo,
     SweepMemoStats,
 };
-use focal_engine::{fault, ChunkError, Engine};
+use focal_engine::{ChunkError, Engine};
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
@@ -156,18 +156,6 @@ pub struct SuiteReport {
     /// metadata, not deterministic content: it appears only in the timed
     /// report, so the `--no-timings` byte-diff is memo-agnostic.
     pub memo_stats: Option<SweepMemoStats>,
-}
-
-/// FNV-1a 64-bit digest, used to fingerprint figure CSV bytes in the
-/// summary without embedding the full dump.
-#[must_use]
-pub fn fnv64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
 }
 
 pub(crate) fn json_escape(s: &str) -> String {
@@ -359,18 +347,17 @@ fn error_entries(name: &'static str, err: &ModelError) -> Vec<(String, String)> 
 /// aborting the suite. Poisoned engine chunks arrive here either as
 /// `Err(ModelError::ChunkPoisoned)` (fallible engine paths) or as a
 /// resumed panic whose payload downcasts to [`ChunkError`] (infallible
-/// paths) — both produce the same diagnostic entries. The stage name is
-/// registered as the fault-injection site for the duration of the body,
-/// which is what scopes `--inject panic@<stage>:<chunk>` plans.
-fn run_stage<F>(name: &'static str, body: F) -> Stage
+/// paths) — both produce the same diagnostic entries. The body runs on
+/// `engine` entered at the stage name as its fault-injection site, which
+/// is what scopes `--inject panic@<stage>:<chunk>` plans.
+fn run_stage<F>(engine: &Engine, name: &'static str, body: F) -> Stage
 where
-    F: FnOnce() -> Result<(bool, Vec<(String, String)>)>,
+    F: FnOnce(&Engine) -> Result<(bool, Vec<(String, String)>)>,
 {
-    fault::enter_site(name);
+    let engine = engine.at_site(name);
     let t = Instant::now();
-    let outcome = std::panic::catch_unwind(AssertUnwindSafe(body));
+    let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| body(&engine)));
     let wall_us = t.elapsed().as_micros();
-    fault::leave_site();
     let (status, entries) = match outcome {
         Ok(Ok((true, entries))) => (StageStatus::Ok, entries),
         Ok(Ok((false, entries))) => (StageStatus::Failed, entries),
@@ -449,7 +436,7 @@ pub fn run_suite_with_samples(engine: &Engine, robustness_samples: usize) -> Sui
 /// without aborting the suite.
 fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) -> Stage {
     let dir = dir.to_path_buf();
-    run_stage("scenarios", move || {
+    run_stage(engine, "scenarios", move |engine| {
         let scenarios = match focal_scenario::load_dir(&dir) {
             Ok(scenarios) => scenarios,
             Err(e) => {
@@ -502,7 +489,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     let mut stages = Vec::new();
 
     // Stage 1: every paper figure, fingerprinted at the CSV-byte level.
-    stages.push(run_stage("figures", || {
+    stages.push(run_stage(engine, "figures", |engine| {
         let figures = focal_studies::all_figures_on(engine)?;
         for f in &figures {
             for (pi, panel) in f.panels.iter().enumerate() {
@@ -526,10 +513,9 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
         let mut entries: Vec<(String, String)> = figures
             .iter()
             .map(|f| {
-                let csv = f.to_csv();
                 (
                     f.id.to_string(),
-                    format!("{} bytes, fnv64={:016x}", csv.len(), fnv64(csv.as_bytes())),
+                    focal_scenario::digest_entry(f.to_csv().as_bytes()),
                 )
             })
             .collect();
@@ -538,7 +524,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     }));
 
     // Stage 2: every finding, gated on reproduction.
-    stages.push(run_stage("findings", || {
+    stages.push(run_stage(engine, "findings", |engine| {
         let findings = focal_studies::all_findings_on(engine)?;
         for f in &findings {
             for m in &f.metrics {
@@ -571,7 +557,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     // Stage 3: Monte-Carlo verdict robustness across the taxonomy (the
     // §3.5 ablation). Agreements are exact sample fractions, so their
     // shortest-f64 rendering is thread-count invariant.
-    stages.push(run_stage("robustness", || {
+    stages.push(run_stage(engine, "robustness", |engine| {
         let robustness = verdict_robustness_with(
             engine,
             ROBUSTNESS_JITTER,
@@ -602,7 +588,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 
     // Stage 4: α-crossover + verdict-stability ablation over the
     // regime-sensitive mechanisms.
-    stages.push(run_stage("crossovers", || {
+    stages.push(run_stage(engine, "crossovers", |engine| {
         let mechanisms = ablation_mechanisms()?;
         let pairs: Vec<(DesignPoint, DesignPoint)> =
             mechanisms.iter().map(|&(_, x, y)| (x, y)).collect();
@@ -642,7 +628,7 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
     // Stage 5: the Monte-Carlo wafer defect simulator backing Figure 1's
     // yield substrate. Fixed seed, so the entries are deterministic and
     // the FOCAL_THREADS byte-diff in CI covers the spatial-index kernel.
-    stages.push(run_stage("defect-sim", || {
+    stages.push(run_stage(engine, "defect-sim", |_| {
         let placement = DiePlacement::square(10.0);
         let uniform = DefectSimulator::new(
             Wafer::W300MM,
@@ -705,14 +691,6 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fnv64_matches_reference_vectors() {
-        // Standard FNV-1a test vectors.
-        assert_eq!(fnv64(b""), 0xcbf29ce484222325);
-        assert_eq!(fnv64(b"a"), 0xaf63dc4c8601ec8c);
-        assert_eq!(fnv64(b"foobar"), 0x85944171f73967e8);
-    }
 
     #[test]
     fn json_escape_handles_specials() {

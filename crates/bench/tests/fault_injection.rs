@@ -3,17 +3,15 @@
 //! line — while every other stage completes, and the degraded report is
 //! still byte-identical across thread counts.
 //!
-//! These tests arm the process-global fault plan, so they live in their
-//! own integration-test binary and serialize with a file-local lock.
+//! Every test runs the suite on engines armed with their own plan, so the
+//! tests run in parallel with each other and with unarmed suites.
 
 use focal_bench::suite::{run_suite, StageStatus, SuiteReport};
-use focal_engine::{fault, Engine, FaultPlan};
-use std::sync::{Mutex, PoisonError};
+use focal_engine::{Engine, FaultPlan};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// `engine` carrying the plan parsed from `spec`.
+fn armed(engine: Engine, spec: &str) -> Engine {
+    engine.with_faults(Box::leak(Box::new(FaultPlan::parse(spec).unwrap())))
 }
 
 const STAGE_NAMES: [&str; 5] = [
@@ -51,11 +49,8 @@ fn assert_degraded(report: &SuiteReport, errored: &str) {
 
 #[test]
 fn injected_chunk_panic_degrades_only_the_figures_stage() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("panic@figures:3").unwrap());
-    let serial = run_suite(&Engine::serial());
-    let parallel = run_suite(&Engine::with_threads(4));
-    fault::disarm();
+    let serial = run_suite(&armed(Engine::serial(), "panic@figures:3"));
+    let parallel = run_suite(&armed(Engine::with_threads(4), "panic@figures:3"));
 
     assert_degraded(&serial, "figures");
     assert_degraded(&parallel, "figures");
@@ -69,18 +64,15 @@ fn injected_chunk_panic_degrades_only_the_figures_stage() {
     // Thread-count invariance holds for faulted reports too.
     assert_eq!(serial.to_json(false), parallel.to_json(false));
 
-    // Disarmed, the suite is whole again.
+    // Unarmed, the suite is whole.
     let clean = run_suite(&Engine::serial());
     assert!(clean.ok(), "{}", clean.human_summary());
 }
 
 #[test]
 fn injected_nan_degrades_only_the_robustness_stage() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("nan@mc:1017").unwrap());
-    let serial = run_suite(&Engine::serial());
-    let parallel = run_suite(&Engine::with_threads(4));
-    fault::disarm();
+    let serial = run_suite(&armed(Engine::serial(), "nan@mc:1017"));
+    let parallel = run_suite(&armed(Engine::with_threads(4), "nan@mc:1017"));
 
     assert_degraded(&serial, "robustness");
     assert_degraded(&parallel, "robustness");
@@ -102,10 +94,7 @@ fn injected_nan_degrades_only_the_robustness_stage() {
 
 #[test]
 fn faulted_json_reports_exactly_one_error_status() {
-    let _guard = lock();
-    fault::arm(FaultPlan::parse("panic@figures:3").unwrap());
-    let report = run_suite(&Engine::serial());
-    fault::disarm();
+    let report = run_suite(&armed(Engine::serial(), "panic@figures:3"));
 
     let json = report.to_json(false);
     assert_eq!(json.matches("\"status\": \"error\"").count(), 1, "{json}");

@@ -230,8 +230,9 @@ pub fn classify_over_range_on(
 /// byte-identical to the unmemoized call — the per-point classification is a
 /// pure function of the cache key.
 ///
-/// While a fault plan is armed (see [`focal_engine::fault::armed`]) the memo
-/// is bypassed entirely so injected faults reach the real evaluation path.
+/// While `engine` carries a fault plan (see [`focal_engine::Engine::faults`])
+/// the memo is bypassed entirely so injected faults reach the real
+/// evaluation path.
 ///
 /// # Errors
 ///
@@ -244,7 +245,7 @@ pub fn classify_over_range_memo_on(
     grid_points: usize,
     memo: &mut crate::SweepMemo,
 ) -> crate::Result<RobustClassification> {
-    if focal_engine::fault::armed() {
+    if engine.faults().is_some() {
         return classify_over_range_on(engine, x, y, range, grid_points);
     }
     let grid = range.grid(grid_points)?;

@@ -23,9 +23,10 @@
 //! can never go stale — a changed input is a different key. The only
 //! ways a cached value could diverge from a fresh evaluation are a
 //! model-code change (a new build, which starts with an empty memo) or
-//! an armed fault plan; the memoized variants bypass the memo entirely
-//! while [`focal_engine::fault::armed`] reports an armed plan so
-//! injected faults always reach the real evaluation path.
+//! an injected fault; the memoized variants bypass the memo entirely
+//! while their engine carries a fault plan
+//! ([`focal_engine::Engine::faults`]) so injected faults always reach
+//! the real evaluation path.
 //!
 //! ## Determinism and confinement
 //!

@@ -130,15 +130,16 @@ pub fn alpha_crossover_batch(
 /// missing pairs are fanned out to the engine, preserving pair order. The
 /// result is element-wise identical to the unmemoized call.
 ///
-/// While a fault plan is armed (see [`focal_engine::fault::armed`]) the memo
-/// is bypassed entirely so injected faults reach the real evaluation path.
+/// While `engine` carries a fault plan (see [`focal_engine::Engine::faults`])
+/// the memo is bypassed entirely so injected faults reach the real
+/// evaluation path.
 pub fn alpha_crossover_batch_memo(
     engine: &focal_engine::Engine,
     pairs: &[(DesignPoint, DesignPoint)],
     scenario: Scenario,
     memo: &mut crate::SweepMemo,
 ) -> Vec<AlphaCrossover> {
-    if focal_engine::fault::armed() {
+    if engine.faults().is_some() {
         return alpha_crossover_batch(engine, pairs, scenario);
     }
     let mut cached: Vec<Option<AlphaCrossover>> = pairs

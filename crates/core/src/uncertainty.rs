@@ -361,12 +361,12 @@ impl MonteCarloNcf {
     /// # Errors
     ///
     /// * [`ModelError::OutOfRange`] if `samples == 0`.
-    /// * [`ModelError::ChunkPoisoned`] if a sampling chunk panics (or an
-    ///   armed fault plan targets one); the error names the lowest failing
+    /// * [`ModelError::ChunkPoisoned`] if a sampling chunk panics (or the
+    ///   engine's fault plan targets one); the error names the lowest failing
     ///   chunk and its derived seed, identically at every thread count.
     /// * [`ModelError::NonFiniteOutput`] if any drawn NCF value is NaN or
-    ///   infinite (including values poisoned by an armed `nan@mc:<index>`
-    ///   fault plan) — the tripwire fires before any summary statistic is
+    ///   infinite (including values poisoned by the engine's
+    ///   `nan@mc:<index>` fault plan) — the tripwire fires before any summary statistic is
     ///   computed, naming the lowest offending sample index.
     pub fn run_on(
         &self,
@@ -411,7 +411,7 @@ impl MonteCarloNcf {
     /// its scenario-DSL twin) therefore pay for each distinct experiment
     /// once.
     ///
-    /// While a fault plan is armed (see [`focal_engine::fault::armed`]) the
+    /// While `engine` carries a fault plan (see [`Engine::faults`]) the
     /// memo is bypassed entirely so injected faults reach the real sampler.
     ///
     /// # Errors
@@ -427,7 +427,7 @@ impl MonteCarloNcf {
         samples: usize,
         memo: &mut crate::SweepMemo,
     ) -> Result<McSummary> {
-        if samples == 0 || focal_engine::fault::armed() {
+        if samples == 0 || engine.faults().is_some() {
             return self.run_on(engine, x, y, scenario, samples);
         }
         if let Some(summary) = memo.mc_lookup(
@@ -456,7 +456,7 @@ impl MonteCarloNcf {
     }
 
     /// Draws the raw sample buffer through the SoA lockstep kernel,
-    /// applies any armed `nan@mc:<index>` fault poke, and runs the
+    /// applies the engine's `nan@mc:<index>` fault poke, if any, and runs the
     /// non-finite tripwire. Exposed (for benchmarks and differential
     /// tests) because it isolates generation cost from the sort and
     /// summary that [`MonteCarloNcf::run_on`] adds on top.
@@ -501,12 +501,12 @@ impl MonteCarloNcf {
             |c0, out| mc_kernel::fill_unit(seed, c0, &params, out),
         )?;
         let interleaved = mc_kernel::lockstep_enabled();
-        // Armed `nan@mc:<sample>` fault plans poison exactly one global
-        // sample index. The poke lands *after* the fill so the RNG draw
+        // A `nan@mc:<sample>` fault plan on the engine poisons exactly one
+        // global sample index. The poke lands *after* the fill so the RNG draw
         // stream is untouched (the scalar loop drew all three words
         // before overwriting, too); `buffer_index` routes the logical
         // index through the kernel's layout.
-        if let Some(target) = focal_engine::fault::nan_target("mc") {
+        if let Some(target) = engine.faults().and_then(|p| p.nan_target("mc")) {
             if let Ok(target) = usize::try_from(target) {
                 let pos = mc_kernel::buffer_index(target, samples, interleaved);
                 if let Some(v) = values.get_mut(pos) {
@@ -563,13 +563,12 @@ impl MonteCarloNcf {
         }
         let params = self.params(x, y, scenario);
         let n_chunks = chunk_count(samples, MC_CHUNK_SAMPLES);
+        // A `nan@mc:<sample>` fault plan on the engine poisons exactly
+        // one global sample index. The index is global, so the poisoned
+        // sample is the same at every thread count.
+        let nan_at = engine.faults().and_then(|p| p.nan_target("mc"));
         let chunks: Vec<Vec<f64>> = engine.try_par_chunk_map(self.seed, n_chunks, |c| {
             let mut rng = StdRng::seed_from_u64(chunk_seed(self.seed, c));
-            // Armed `nan@mc:<sample>` fault plans poison exactly one
-            // global sample index; disarmed runs pay one atomic load per
-            // chunk. The index is global, so the poisoned sample is the
-            // same at every thread count.
-            let nan_at = focal_engine::fault::nan_target("mc");
             let lo = c * MC_CHUNK_SAMPLES;
             let hi = (lo + MC_CHUNK_SAMPLES).min(samples);
             (lo..hi)

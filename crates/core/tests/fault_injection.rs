@@ -1,34 +1,29 @@
 //! Fault injection against the Monte-Carlo sampler.
 //!
-//! These tests arm the process-global fault plan, so they live in their
-//! own integration-test binary (nothing else in this process evaluates
-//! the model while a plan is armed) and serialize among themselves with
-//! a file-local lock.
+//! Every test arms its own engine with a plan, so the tests run in
+//! parallel with each other and with unarmed evaluations in the same
+//! process.
 
 use focal_core::{DesignPoint, E2oRange, ModelError, MonteCarloNcf, Scenario, MC_CHUNK_SAMPLES};
-use focal_engine::{fault, Engine, FaultPlan};
-use std::sync::{Mutex, PoisonError};
+use focal_engine::{Engine, FaultPlan};
 
-static LOCK: Mutex<()> = Mutex::new(());
-
-fn lock() -> std::sync::MutexGuard<'static, ()> {
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// `engine` carrying the plan parsed from `spec`.
+fn armed(engine: Engine, spec: &str) -> Engine {
+    engine.with_faults(Box::leak(Box::new(FaultPlan::parse(spec).unwrap())))
 }
 
 #[test]
 fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
     let samples = MC_CHUNK_SAMPLES + 500;
 
-    fault::arm(FaultPlan::parse("nan@mc:1017").unwrap());
     let errors: Vec<ModelError> = [1, 2, 7]
         .iter()
         .map(|&threads| {
             mc.run_on(
-                &Engine::with_threads(threads),
+                &armed(Engine::with_threads(threads), "nan@mc:1017"),
                 &x,
                 &y,
                 Scenario::FixedWork,
@@ -37,7 +32,6 @@ fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count(
             .unwrap_err()
         })
         .collect();
-    fault::disarm();
 
     // `ModelError`'s derived equality is useless here (NaN != NaN), so
     // compare the rendered diagnostics — the part a user would repro from.
@@ -57,8 +51,8 @@ fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count(
         }
     }
 
-    // Disarmed, the same experiment succeeds again: injection leaves no
-    // residue in the sampler or the engine.
+    // Unarmed, the same experiment succeeds: injection leaves no residue
+    // in the sampler.
     assert!(mc
         .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, samples)
         .is_ok());
@@ -66,43 +60,31 @@ fn injected_nan_trips_the_finiteness_tripwire_identically_at_every_thread_count(
 
 #[test]
 fn nan_injection_outside_the_drawn_range_is_inert() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 7).unwrap();
 
-    fault::arm(FaultPlan::parse("nan@mc:999999").unwrap());
-    let armed = mc.run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1000);
-    fault::disarm();
+    let engine = armed(Engine::serial(), "nan@mc:999999");
+    let faulted = mc.run_on(&engine, &x, &y, Scenario::FixedWork, 1000);
     let clean = mc
         .run_on(&Engine::serial(), &x, &y, Scenario::FixedWork, 1000)
         .unwrap();
 
     // A plan whose index is never drawn must not perturb the samples.
-    assert_eq!(armed.unwrap(), clean);
+    assert_eq!(faulted.unwrap(), clean);
 }
 
 #[test]
 fn injected_chunk_panic_surfaces_as_chunk_poisoned() {
-    let _guard = lock();
     let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).unwrap();
     let y = DesignPoint::reference();
     let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 40).unwrap();
     let samples = 3 * MC_CHUNK_SAMPLES;
 
-    fault::arm(FaultPlan::parse("panic@mc-test:2").unwrap());
-    fault::enter_site("mc-test");
+    let engine = armed(Engine::with_threads(4), "panic@mc-test:2").at_site("mc-test");
     let err = mc
-        .run_on(
-            &Engine::with_threads(4),
-            &x,
-            &y,
-            Scenario::FixedWork,
-            samples,
-        )
+        .run_on(&engine, &x, &y, Scenario::FixedWork, samples)
         .unwrap_err();
-    fault::leave_site();
-    fault::disarm();
 
     match err {
         ModelError::ChunkPoisoned {

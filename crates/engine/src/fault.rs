@@ -13,13 +13,12 @@
 //!
 //! ## Fault injection
 //!
-//! The rest of this module is a process-global, deterministic
-//! fault-injection plan used by the reproduction suite's `--inject` flag,
-//! `focal-serve --inject`, and the fault-tolerance tests. A [`FaultPlan`]
-//! names a *site* (the suite stage for chunk panics, a sampler label such
-//! as `mc` for NaN poisoning, the literal `serve` for serving-layer
-//! faults) plus optional connection/index qualifiers, parsed from the
-//! spec grammar
+//! The rest of this module is the deterministic fault-injection plan
+//! used by the reproduction suite's `--inject` flag, `focal-serve
+//! --inject`, and the fault-tolerance tests. A [`FaultPlan`] names a
+//! *site* (the suite stage for chunk panics, a sampler label such as `mc`
+//! for NaN poisoning, the literal `serve` for serving-layer faults) plus
+//! optional connection/index qualifiers, parsed from the spec grammar
 //!
 //! ```text
 //! <kind>@<site>[:conn<N>][:<index>][:<millis>ms]
@@ -39,17 +38,20 @@
 //! chunk/sample index for engine sites; `latency` without an index stalls
 //! every request its connection filter matches.
 //!
-//! The plan is disarmed by default and gated behind one relaxed atomic
-//! load, so production runs pay (near) nothing. Injected chunk panics are
-//! raised *inside* the engine's chunk isolation and therefore surface as
+//! A plan is carried by the [`crate::Engine`] values it applies to
+//! ([`crate::Engine::with_faults`]), never by the process: an engine
+//! without a plan pays one `Option` check per chunk, and two engines in
+//! one process, one armed and one not, never see each other's faults.
+//! Chunk panics fire only in engines entered at the plan's site
+//! ([`crate::Engine::at_site`]). Injected chunk panics are raised
+//! *inside* the engine's chunk isolation and therefore surface as
 //! ordinary [`ChunkError`]s — the injection harness proves the isolation
 //! machinery end to end with the exact failure modes it exists for. The
-//! serving layer queries its own faults through [`serve_panic_target`],
-//! [`serve_latency`], [`serve_short_read`] and [`serve_short_write`].
+//! serving layer queries its own faults through
+//! [`FaultPlan::serve_panic_target`], [`FaultPlan::serve_latency`],
+//! [`FaultPlan::serve_short_read`] and [`FaultPlan::serve_short_write`].
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, PoisonError};
 use std::time::Duration;
 
 /// A chunk of a parallel operation panicked (or had a fault injected).
@@ -115,15 +117,15 @@ pub enum FaultKind {
     ShortWrite,
 }
 
-impl FaultKind {
-    fn as_str(self) -> &'static str {
-        match self {
+impl fmt::Display for FaultKind {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
             FaultKind::Panic => "panic",
             FaultKind::Nan => "nan",
             FaultKind::Latency => "latency",
             FaultKind::ShortRead => "shortread",
             FaultKind::ShortWrite => "shortwrite",
-        }
+        })
     }
 }
 
@@ -239,7 +241,7 @@ impl FaultPlan {
     /// identity).
     #[must_use]
     pub fn spec(&self) -> String {
-        let mut out = format!("{}@{}", self.kind.as_str(), self.site);
+        let mut out = format!("{}@{}", self.kind, self.site);
         if let Some(conn) = self.conn {
             out.push_str(&format!(":conn{conn}"));
         }
@@ -259,181 +261,57 @@ impl fmt::Display for FaultPlan {
     }
 }
 
-/// Fast disarmed check: one relaxed load on every instrumented path.
-static ARMED: AtomicBool = AtomicBool::new(false);
-
-/// The armed plan plus the currently entered site, behind one lock (the
-/// lock is only taken when [`ARMED`] reads true, or by the arm/disarm and
-/// site-entry control paths that run once per stage, not per chunk).
-static STATE: Mutex<FaultState> = Mutex::new(FaultState {
-    plan: None,
-    site: None,
-});
-
-struct FaultState {
-    plan: Option<FaultPlan>,
-    site: Option<String>,
-}
-
-fn state() -> std::sync::MutexGuard<'static, FaultState> {
-    STATE.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Arms `plan` process-wide. Intended for fault-injection tests and the
-/// suite's `--inject` flag only; callers that arm must [`disarm`] (or
-/// exit) afterwards, and concurrent tests sharing a process must
-/// serialize around the armed window.
-pub fn arm(plan: FaultPlan) {
-    let mut s = state();
-    s.plan = Some(plan);
-    ARMED.store(true, Ordering::Release);
-}
-
-/// Disarms any armed plan (idempotent).
-pub fn disarm() {
-    let mut s = state();
-    s.plan = None;
-    ARMED.store(false, Ordering::Release);
-}
-
-/// `true` while a plan is armed — instrumented hot paths use this as
-/// their zero-cost early-out before doing any per-sample matching.
-#[inline]
-#[must_use]
-pub fn armed() -> bool {
-    ARMED.load(Ordering::Acquire)
-}
-
-/// The spec string of the armed plan, if any — used by injection sites
-/// to label the synthetic fault they raise.
-#[must_use]
-pub fn armed_spec() -> Option<String> {
-    if !armed() {
-        return None;
-    }
-    state().plan.as_ref().map(FaultPlan::spec)
-}
-
-/// Enters a named injection site (the suite calls this once per stage).
-/// Chunk-panic faults only fire while their site is entered.
-pub fn enter_site(name: &str) {
-    if let Ok(mut s) = STATE.lock().map_err(|_| ()) {
-        s.site = Some(name.to_string());
-    }
-}
-
-/// Leaves the current site (chunk-panic faults stop firing).
-pub fn leave_site() {
-    if let Ok(mut s) = STATE.lock().map_err(|_| ()) {
-        s.site = None;
-    }
-}
-
-/// Called by the engine at every chunk boundary: returns the injected
-/// fault description if an armed panic-fault targets `chunk` of the
-/// currently entered site.
-pub(crate) fn injected_chunk_fault(chunk: usize) -> Option<String> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    let site = s.site.as_deref()?;
-    if plan.kind == FaultKind::Panic && plan.site == site && plan.index == Some(chunk as u64) {
-        Some(format!("injected fault: {}", plan.spec()))
-    } else {
-        None
-    }
-}
-
-/// Returns the sample index an armed NaN-fault targets at `site`, if any.
-/// Instrumented samplers fetch this once per chunk and compare sample
-/// indices locally, so the disarmed cost is one atomic load per chunk.
-#[must_use]
-pub fn nan_target(site: &str) -> Option<u64> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    if plan.kind == FaultKind::Nan && plan.site == site {
-        plan.index
-    } else {
-        None
-    }
-}
-
 /// The site name serving-layer faults target (`--inject panic@serve:3`).
 pub const SERVE_SITE: &str = "serve";
 
-/// Runs `f` on the armed plan if it targets the serve site; the common
-/// armed-check + site filter for every serve-layer query below.
-fn serve_plan<T>(f: impl FnOnce(&FaultPlan) -> Option<T>) -> Option<T> {
-    if !armed() {
-        return None;
-    }
-    let s = state();
-    let plan = s.plan.as_ref()?;
-    if plan.site != SERVE_SITE {
-        return None;
-    }
-    f(plan)
-}
-
-/// Whether `plan`'s connection filter matches connection `conn`.
-fn conn_matches(plan: &FaultPlan, conn: u64) -> bool {
-    plan.conn.map_or(true, |c| c == conn)
-}
-
-/// The per-connection request ordinal an armed `panic@serve` fault
-/// targets on connection `conn`, if any.
-#[must_use]
-pub fn serve_panic_target(conn: u64) -> Option<u64> {
-    serve_plan(|p| {
-        if p.kind == FaultKind::Panic && conn_matches(p, conn) {
-            p.index
+impl FaultPlan {
+    /// The sample index this plan poisons with NaN at sampler `site`, if
+    /// it is a NaN fault for that site. Instrumented samplers fetch this
+    /// once per call and compare sample indices locally.
+    #[must_use]
+    pub fn nan_target(&self, site: &str) -> Option<u64> {
+        if self.kind == FaultKind::Nan && self.site == site {
+            self.index
         } else {
             None
         }
-    })
-}
+    }
 
-/// The injected stall for request `request` on connection `conn`, if an
-/// armed `latency@serve` fault matches (a plan without an index stalls
-/// every request its connection filter matches).
-#[must_use]
-pub fn serve_latency(conn: u64, request: u64) -> Option<Duration> {
-    serve_plan(|p| {
-        let matches = p.kind == FaultKind::Latency
-            && conn_matches(p, conn)
-            && p.index.map_or(true, |i| i == request);
-        matches.then(|| Duration::from_millis(p.millis))
-    })
-}
+    /// Whether this is a `kind@serve` fault whose connection filter
+    /// matches connection `conn`; the common filter of the serve queries.
+    fn serves(&self, kind: FaultKind, conn: u64) -> bool {
+        self.kind == kind && self.site == SERVE_SITE && self.conn.map_or(true, |c| c == conn)
+    }
 
-/// Whether an armed `shortread@serve` fault targets connection `conn`
-/// (reads should be delivered a few bytes at a time).
-#[must_use]
-pub fn serve_short_read(conn: u64) -> bool {
-    serve_plan(|p| (p.kind == FaultKind::ShortRead && conn_matches(p, conn)).then_some(()))
-        .is_some()
-}
+    /// The per-connection request ordinal this plan panics on connection
+    /// `conn`, if it is a matching `panic@serve` fault.
+    #[must_use]
+    pub fn serve_panic_target(&self, conn: u64) -> Option<u64> {
+        self.index.filter(|_| self.serves(FaultKind::Panic, conn))
+    }
 
-/// Whether an armed `shortwrite@serve` fault targets connection `conn`
-/// (response writes should be split into tiny partial writes).
-#[must_use]
-pub fn serve_short_write(conn: u64) -> bool {
-    serve_plan(|p| (p.kind == FaultKind::ShortWrite && conn_matches(p, conn)).then_some(()))
-        .is_some()
-}
+    /// The injected stall for request `request` on connection `conn`, if
+    /// this is a matching `latency@serve` fault (a plan without an index
+    /// stalls every request its connection filter matches).
+    #[must_use]
+    pub fn serve_latency(&self, conn: u64, request: u64) -> Option<Duration> {
+        (self.serves(FaultKind::Latency, conn) && self.index.map_or(true, |i| i == request))
+            .then(|| Duration::from_millis(self.millis))
+    }
 
-/// Serializes unit tests (across this crate's modules) that arm the
-/// process-global plan, so they stay order-independent under the parallel
-/// test runner.
-#[cfg(test)]
-pub(crate) fn tests_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Whether this is a `shortread@serve` fault for connection `conn`
+    /// (reads should be delivered a few bytes at a time).
+    #[must_use]
+    pub fn serve_short_read(&self, conn: u64) -> bool {
+        self.serves(FaultKind::ShortRead, conn)
+    }
+
+    /// Whether this is a `shortwrite@serve` fault for connection `conn`
+    /// (response writes should be split into tiny partial writes).
+    #[must_use]
+    pub fn serve_short_write(&self, conn: u64) -> bool {
+        self.serves(FaultKind::ShortWrite, conn)
+    }
 }
 
 #[cfg(test)]
@@ -496,43 +374,48 @@ mod tests {
 
     #[test]
     fn serve_queries_respect_kind_conn_and_index() {
-        let _guard = tests_lock();
-        assert_eq!(serve_panic_target(0), None);
+        let plan = |spec: &str| FaultPlan::parse(spec).unwrap();
+        assert_eq!(
+            crate::Engine::serial().faults(),
+            None,
+            "engines start unarmed"
+        );
 
-        arm(FaultPlan::parse("panic@serve:3").unwrap());
-        assert_eq!(serve_panic_target(0), Some(3));
-        assert_eq!(serve_panic_target(7), Some(3), "no conn filter = any conn");
-        assert_eq!(serve_latency(0, 3), None);
-        assert!(!serve_short_read(0));
+        let p = plan("panic@serve:3");
+        assert_eq!(p.serve_panic_target(0), Some(3));
+        assert_eq!(
+            p.serve_panic_target(7),
+            Some(3),
+            "no conn filter = any conn"
+        );
+        assert_eq!(p.serve_latency(0, 3), None);
+        assert!(!p.serve_short_read(0));
 
-        arm(FaultPlan::parse("panic@serve:conn2:3").unwrap());
-        assert_eq!(serve_panic_target(2), Some(3));
-        assert_eq!(serve_panic_target(1), None);
+        let p = plan("panic@serve:conn2:3");
+        assert_eq!(p.serve_panic_target(2), Some(3));
+        assert_eq!(p.serve_panic_target(1), None);
 
-        arm(FaultPlan::parse("latency@serve:conn2:50ms").unwrap());
-        assert_eq!(serve_latency(2, 0), Some(Duration::from_millis(50)));
-        assert_eq!(serve_latency(2, 99), Some(Duration::from_millis(50)));
-        assert_eq!(serve_latency(1, 0), None);
+        let p = plan("latency@serve:conn2:50ms");
+        assert_eq!(p.serve_latency(2, 0), Some(Duration::from_millis(50)));
+        assert_eq!(p.serve_latency(2, 99), Some(Duration::from_millis(50)));
+        assert_eq!(p.serve_latency(1, 0), None);
 
-        arm(FaultPlan::parse("latency@serve:1:20ms").unwrap());
-        assert_eq!(serve_latency(0, 1), Some(Duration::from_millis(20)));
-        assert_eq!(serve_latency(0, 2), None);
+        let p = plan("latency@serve:1:20ms");
+        assert_eq!(p.serve_latency(0, 1), Some(Duration::from_millis(20)));
+        assert_eq!(p.serve_latency(0, 2), None);
 
-        arm(FaultPlan::parse("shortread@serve:conn0").unwrap());
-        assert!(serve_short_read(0));
-        assert!(!serve_short_read(1));
-        assert!(!serve_short_write(0));
+        let p = plan("shortread@serve:conn0");
+        assert!(p.serve_short_read(0));
+        assert!(!p.serve_short_read(1));
+        assert!(!p.serve_short_write(0));
 
-        arm(FaultPlan::parse("shortwrite@serve").unwrap());
-        assert!(serve_short_write(0));
-        assert!(serve_short_write(5));
+        let p = plan("shortwrite@serve");
+        assert!(p.serve_short_write(0));
+        assert!(p.serve_short_write(5));
 
-        arm(FaultPlan::parse("panic@figures:3").unwrap());
-        assert_eq!(serve_panic_target(0), None, "wrong site");
-
-        disarm();
-        assert_eq!(serve_panic_target(0), None);
-        assert_eq!(serve_latency(0, 0), None);
+        let p = plan("panic@figures:3");
+        assert_eq!(p.serve_panic_target(0), None, "wrong site");
+        assert_eq!(p.serve_latency(0, 0), None);
     }
 
     #[test]
@@ -550,8 +433,8 @@ mod tests {
 
     #[test]
     fn payload_to_string_handles_common_shapes() {
-        let s: Box<dyn std::any::Any + Send> = Box::new("static str");
-        assert_eq!(payload_to_string(s.as_ref()), "static str");
+        let s: Box<dyn std::any::Any + Send> = Box::new("borrowed str");
+        assert_eq!(payload_to_string(s.as_ref()), "borrowed str");
         let s: Box<dyn std::any::Any + Send> = Box::new(String::from("owned"));
         assert_eq!(payload_to_string(s.as_ref()), "owned");
         let e: Box<dyn std::any::Any + Send> = Box::new(ChunkError {
@@ -569,29 +452,33 @@ mod tests {
 
     #[test]
     fn injected_chunk_fault_requires_site_and_index_match() {
-        let _guard = tests_lock();
-        arm(FaultPlan::parse("panic@figures:3").unwrap());
-        assert!(injected_chunk_fault(3).is_none(), "no site entered yet");
-        enter_site("figures");
-        assert!(injected_chunk_fault(2).is_none());
-        let msg = injected_chunk_fault(3).unwrap();
+        let plan = Box::leak(Box::new(FaultPlan::parse("panic@figures:3").unwrap()));
+        let armed = crate::Engine::serial().with_faults(plan);
+        assert!(
+            armed.injected_chunk_fault(3).is_none(),
+            "no site entered yet"
+        );
+        let figures = armed.at_site("figures");
+        assert!(figures.injected_chunk_fault(2).is_none());
+        let msg = figures.injected_chunk_fault(3).unwrap();
         assert!(msg.contains("injected fault: panic@figures:3"));
-        enter_site("findings");
-        assert!(injected_chunk_fault(3).is_none(), "wrong site");
-        leave_site();
-        disarm();
-        assert!(!armed());
-        assert!(injected_chunk_fault(3).is_none());
+        assert!(
+            armed.at_site("findings").injected_chunk_fault(3).is_none(),
+            "wrong site"
+        );
+        let unarmed = crate::Engine::serial().at_site("figures");
+        assert!(unarmed.faults().is_none());
+        assert!(unarmed.injected_chunk_fault(3).is_none());
     }
 
     #[test]
     fn nan_target_matches_site() {
-        let _guard = tests_lock();
-        assert_eq!(nan_target("mc"), None);
-        arm(FaultPlan::parse("nan@mc:1017").unwrap());
-        assert_eq!(nan_target("mc"), Some(1017));
-        assert_eq!(nan_target("other"), None);
-        disarm();
-        assert_eq!(nan_target("mc"), None);
+        let unarmed = crate::Engine::serial().faults();
+        assert_eq!(unarmed.and_then(|p| p.nan_target("mc")), None);
+        let plan = FaultPlan::parse("nan@mc:1017").unwrap();
+        assert_eq!(plan.nan_target("mc"), Some(1017));
+        assert_eq!(plan.nan_target("other"), None);
+        let panic = FaultPlan::parse("panic@mc:1017").unwrap();
+        assert_eq!(panic.nan_target("mc"), None, "wrong kind");
     }
 }

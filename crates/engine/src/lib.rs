@@ -40,7 +40,9 @@
 //!
 //! The [`fault`] module adds a deterministic fault-injection hook
 //! ([`FaultPlan`], spec grammar `<kind>@<site>[:conn<N>][:<index>][:<millis>ms]`)
-//! that raises synthetic faults through this exact machinery; the
+//! that raises synthetic faults through this exact machinery. A plan is
+//! carried by the engine value ([`Engine::with_faults`]), not by the
+//! process, so an armed engine never disturbs an unarmed one. The
 //! reproduction suite's `--inject` flag uses it to prove the isolation
 //! end to end, and `focal-serve --inject` extends the same plans into
 //! the serving layer (request panics, injected latency, short

@@ -33,7 +33,6 @@
 //! turn the records into CI gates.
 
 use focal_bench::micro::{to_bench_json, BenchRecord};
-use focal_serve::detect_git_rev;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
@@ -406,14 +405,13 @@ fn main() {
     let mut warm_latencies: Vec<u64> = results.iter().flat_map(|r| r.latencies.clone()).collect();
     warm_latencies.sort_unstable();
 
-    let git_rev = detect_git_rev();
     let threads = focal_engine::Engine::from_env().threads();
     let record = |kernel: &str, ns_per_op: f64, iters: u64| BenchRecord {
         kernel: kernel.to_string(),
         ns_per_op,
         iters,
         threads,
-        git_rev: git_rev.clone(),
+        git_rev: focal_bench::GIT_REV.to_string(),
     };
     let mut records = vec![
         record("serve/cold", cold_ns, cold_evals),

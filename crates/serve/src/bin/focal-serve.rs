@@ -30,7 +30,7 @@
 //! carries nothing but response lines.
 
 use focal_bench::dump::DumpDir;
-use focal_engine::{fault, Engine, FaultPlan};
+use focal_engine::{Engine, FaultPlan};
 use focal_serve::{
     serve_stream, serve_tcp, ChaosReader, ChaosWriter, ServeCore, ServeOptions, TcpOptions,
 };
@@ -54,6 +54,7 @@ fn main() {
     let mut max_conns: usize = 0;
     let mut max_accepts: usize = 0;
     let mut opts = ServeOptions::from_env();
+    let mut faults: Option<&FaultPlan> = None;
 
     let mut i = 0;
     while let Some(arg) = args.get(i) {
@@ -137,7 +138,7 @@ fn main() {
                 match args.get(i).map(|s| FaultPlan::parse(s)) {
                     Some(Ok(plan)) => {
                         eprintln!("focal-serve: armed fault plan {}", plan.spec());
-                        fault::arm(plan);
+                        faults = Some(Box::leak(Box::new(plan)));
                     }
                     Some(Err(e)) => {
                         eprintln!("focal-serve: bad --inject spec: {e}");
@@ -150,6 +151,11 @@ fn main() {
             _ => usage(),
         }
         i += 1;
+    }
+    if let Some(plan) = faults {
+        // Every connection's engine carries the plan (so caching is off
+        // on all of them), whatever order `--threads` came in.
+        opts.engine = opts.engine.with_faults(plan);
     }
 
     let result = match tcp_addr {
@@ -166,10 +172,11 @@ fn main() {
             let stdin = std::io::stdin();
             let stdout = std::io::stdout();
             // Chaos adapters cover the stdin transport too (conn 0);
-            // they are transparent unless a shortread/shortwrite plan
-            // is armed.
-            let mut reader = BufReader::new(ChaosReader::new(stdin.lock(), 0));
-            let mut writer = std::io::BufWriter::new(ChaosWriter::new(stdout.lock(), 0));
+            // they are transparent unless the engine carries a
+            // shortread/shortwrite plan.
+            let mut reader = BufReader::new(ChaosReader::new(stdin.lock(), &opts.engine, 0));
+            let mut writer =
+                std::io::BufWriter::new(ChaosWriter::new(stdout.lock(), &opts.engine, 0));
             let mut core = ServeCore::new(opts);
             let r = serve_stream(&mut reader, &mut writer, &mut core);
             eprintln!("{}", core.stats_line());

@@ -52,4 +52,4 @@ pub use proto::{
     RequestError, MAX_BATCH,
 };
 pub use server::{serve_stream, serve_stream_ctx, serve_tcp, TcpOptions};
-pub use service::{detect_git_rev, ServeCore, ServeOptions, ServeStats};
+pub use service::{ServeCore, ServeOptions, ServeStats};

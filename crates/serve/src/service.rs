@@ -35,7 +35,7 @@ use crate::proto::{
 };
 use focal_bench::dump::DumpDir;
 use focal_core::SweepMemo;
-use focal_engine::{fault, Engine};
+use focal_engine::{Engine, FaultPlan};
 use focal_scenario::{CompiledScenario, ScenarioKind};
 use std::time::Instant;
 
@@ -55,7 +55,8 @@ pub struct ServeOptions {
     /// the connection ordinal so two clients reusing an id cannot
     /// clobber each other's transcripts).
     pub dump_prefix: String,
-    /// `git rev-parse --short HEAD`, stamped into response provenance.
+    /// Source revision stamped into response provenance
+    /// ([`focal_bench::GIT_REV`] unless the caller overrides it).
     pub git_rev: String,
     /// Overload limits (deadlines, admission bound, drain). Defaults
     /// to all-off, which reproduces pre-hardening behavior exactly.
@@ -64,7 +65,7 @@ pub struct ServeOptions {
 
 impl ServeOptions {
     /// Defaults: engine from the environment, cache on, no dumping,
-    /// git revision detected from the working tree, no limits.
+    /// the revision the binary was built from, no limits.
     #[must_use]
     pub fn from_env() -> ServeOptions {
         ServeOptions {
@@ -72,7 +73,7 @@ impl ServeOptions {
             cache: true,
             dump_dir: None,
             dump_prefix: String::new(),
-            git_rev: detect_git_rev(),
+            git_rev: focal_bench::GIT_REV.to_string(),
             limits: Limits::default(),
         }
     }
@@ -123,10 +124,10 @@ struct QueueEntry {
     digest: u64,
     compiled: CompiledScenario,
     text: String,
-    /// Set when an armed `panic@serve` plan targets the request that
+    /// The engine's `panic@serve` plan when it targets the request that
     /// queued this entry: the evaluation panics instead of running, and
     /// the engine's isolation machinery must contain it.
-    inject_panic: bool,
+    inject_panic: Option<&'static FaultPlan>,
 }
 
 impl ServeCore {
@@ -212,10 +213,12 @@ impl ServeCore {
     /// this batch's responses.
     pub fn handle_batch(&mut self, lines: &[(usize, String)], ctx: &ConnCtx<'_>) -> Vec<String> {
         let batch_entry = Instant::now();
-        // The serve cache and memo stand down while a fault plan is
-        // armed, mirroring the engine's own memoized paths: an injected
-        // panic must reach the isolation machinery, not a cache hit.
-        let caching = self.opts.cache && !fault::armed();
+        // The serve cache and memo stand down while the engine carries a
+        // fault plan, mirroring the engine's own memoized paths: an
+        // injected panic must reach the isolation machinery, not a cache
+        // hit.
+        let faults = self.opts.engine.faults();
+        let caching = self.opts.cache && faults.is_none();
         // Ping gauges are snapshot before this batch is counted, so a
         // single connection's ping responses are a deterministic
         // function of its own request stream.
@@ -254,7 +257,9 @@ impl ServeCore {
                                 key: None,
                             }))
                         } else {
-                            if let Some(delay) = fault::serve_latency(ctx.conn, ordinal) {
+                            if let Some(delay) =
+                                faults.and_then(|p| p.serve_latency(ctx.conn, ordinal))
+                            {
                                 std::thread::sleep(delay);
                             }
                             self.resolve(req, *line_no, ctx.conn, ordinal, caching, &mut queue)
@@ -371,31 +376,21 @@ impl ServeCore {
                 return Slot::Ready(self.finish_ok(&req.id, line));
             }
         }
-        // Deduplication is skipped while a fault plan is armed so an
-        // injected panic cannot alias a clean request onto the same
+        // Deduplication is skipped while the engine carries a fault plan
+        // so an injected panic cannot alias a clean request onto the same
         // evaluation: every slot then owns its own queue entry.
-        let queue_idx = if !fault::armed() {
-            if let Some(idx) = queue.iter().position(|e| e.digest == digest) {
-                idx
-            } else {
+        let faults = self.opts.engine.faults();
+        let queue_idx = match queue.iter().position(|e| e.digest == digest) {
+            Some(idx) if faults.is_none() => idx,
+            _ => {
                 queue.push(QueueEntry {
                     digest,
                     compiled,
                     text: req.scenario,
-                    inject_panic: false,
+                    inject_panic: faults.filter(|p| p.serve_panic_target(conn) == Some(ordinal)),
                 });
                 queue.len() - 1
             }
-        } else {
-            let inject_panic =
-                fault::serve_panic_target(conn).is_some_and(|target| target == ordinal);
-            queue.push(QueueEntry {
-                digest,
-                compiled,
-                text: req.scenario,
-                inject_panic,
-            });
-            queue.len() - 1
         };
         Slot::Pending {
             id: req.id,
@@ -441,12 +436,9 @@ impl ServeCore {
                 .opts
                 .engine
                 .try_par_map_isolated(0, &fan, |(_, entry)| {
-                    if entry.inject_panic {
+                    if let Some(plan) = entry.inject_panic {
                         // focal-lint: allow(panic-freedom) -- deliberate injected fault; the engine's per-item isolation must contain it
-                        panic!(
-                            "injected fault: {}",
-                            fault::armed_spec().unwrap_or_default()
-                        );
+                        panic!("injected fault: {plan}");
                     }
                     entry.compiled.evaluate()
                 }) {
@@ -468,8 +460,8 @@ impl ServeCore {
                     }
                 }
                 Err(ce) => {
-                    // The fan-out harness itself failed (armed fault in
-                    // the chunk machinery): every queued request in this
+                    // The fan-out harness itself failed (injected fault
+                    // in the chunk machinery): every queued request in this
                     // batch degrades, later batches are unaffected.
                     for (idx, _) in &fan {
                         if let Some(slot) = results.get_mut(*idx) {
@@ -524,7 +516,7 @@ impl ServeCore {
     fn evaluate_robustness(
         &mut self,
         compiled: &CompiledScenario,
-        inject_panic: bool,
+        inject_panic: Option<&FaultPlan>,
         caching: bool,
     ) -> Result<focal_scenario::ScenarioOutput, String> {
         let engine = self.opts.engine;
@@ -534,18 +526,11 @@ impl ServeCore {
         // ever inserted whole, so later lookups still see exactly the
         // values a clean evaluation would produce.
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            if inject_panic {
+            if let Some(plan) = inject_panic {
                 // focal-lint: allow(panic-freedom) -- deliberate injected fault; this catch_unwind must contain it
-                panic!(
-                    "injected fault: {}",
-                    fault::armed_spec().unwrap_or_default()
-                );
+                panic!("injected fault: {plan}");
             }
-            if caching {
-                compiled.evaluate_memo_on(&engine, memo)
-            } else {
-                compiled.evaluate_on(&engine)
-            }
+            compiled.evaluate_on(&engine, caching.then_some(memo))
         }));
         match run {
             Ok(Ok(output)) => Ok(output),
@@ -633,22 +618,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "non-string panic payload".to_string()
     }
-}
-
-/// `git rev-parse --short HEAD` of the current directory, or
-/// `"unknown"` when git or the checkout is unavailable. Stamped into
-/// every response's provenance block.
-#[must_use]
-pub fn detect_git_rev() -> String {
-    std::process::Command::new("git")
-        .args(["rev-parse", "--short", "HEAD"])
-        .output()
-        .ok()
-        .filter(|o| o.status.success())
-        .and_then(|o| String::from_utf8(o.stdout).ok())
-        .map(|s| s.trim().to_string())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_string())
 }
 
 #[cfg(test)]

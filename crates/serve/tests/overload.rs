@@ -3,19 +3,25 @@
 //! that every response surviving an injected fault is byte-identical
 //! to the fault-free run.
 
-use focal_engine::{fault, Engine, FaultPlan};
+use focal_engine::{Engine, FaultPlan};
 use focal_serve::{
     serve_stream, serve_tcp, ChaosReader, ChaosWriter, Limits, ServeCore, ServeOptions, TcpOptions,
 };
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
-/// Serializes every test that arms the process-global fault plan.
-fn fault_lock() -> std::sync::MutexGuard<'static, ()> {
-    static LOCK: Mutex<()> = Mutex::new(());
-    LOCK.lock().unwrap_or_else(PoisonError::into_inner)
+/// A serial engine carrying the plan parsed from `spec`.
+fn armed(spec: &str) -> Engine {
+    Engine::serial().with_faults(Box::leak(Box::new(FaultPlan::parse(spec).expect("plan"))))
+}
+
+/// Options for a core armed with the plan parsed from `spec`.
+fn armed_opts(spec: &str) -> ServeOptions {
+    ServeOptions {
+        engine: armed(spec),
+        ..opts_with(Limits::default())
+    }
 }
 
 fn opts_with(limits: Limits) -> ServeOptions {
@@ -278,15 +284,15 @@ fn admission_bound_sheds_excess_requests_in_order() {
 
 #[test]
 fn injected_latency_trips_the_request_deadline() {
-    let _guard = fault_lock();
     let limits = Limits {
         request_deadline: Some(Duration::from_millis(40)),
         ..Limits::default()
     };
-    let mut core = ServeCore::new(opts_with(limits));
-    fault::arm(FaultPlan::parse("latency@serve:80ms").expect("plan"));
+    let mut core = ServeCore::new(ServeOptions {
+        engine: armed("latency@serve:80ms"),
+        ..opts_with(limits)
+    });
     let responses = core.handle_lines(&[(1, scenario_line("slow"))]);
-    fault::disarm();
     assert!(
         responses[0].contains("\"kind\":\"timeout\""),
         "{}",
@@ -294,14 +300,12 @@ fn injected_latency_trips_the_request_deadline() {
     );
     assert!(responses[0].contains("\"id\":\"slow\""));
     // Without the fault the same request clears the same deadline.
-    let ok = core.handle_lines(&[(2, scenario_line("fast"))]);
+    let ok = ServeCore::new(opts_with(limits)).handle_lines(&[(2, scenario_line("fast"))]);
     assert!(ok[0].contains("\"ok\":true"), "{}", ok[0]);
 }
 
 #[test]
 fn short_reads_and_writes_leave_response_bytes_identical() {
-    let _guard = fault_lock();
-    fault::disarm();
     let input = format!(
         "{}\n{}\n{}\n",
         scenario_line("q1"),
@@ -316,18 +320,19 @@ fn short_reads_and_writes_leave_response_bytes_identical() {
         out
     };
     for spec in ["shortread@serve:conn0", "shortwrite@serve"] {
-        fault::arm(FaultPlan::parse(spec).expect("plan"));
+        let opts = armed_opts(spec);
         let mut reader = BufReader::new(ChaosReader::new(
             std::io::Cursor::new(input.clone().into_bytes()),
+            &opts.engine,
             0,
         ));
         let mut sink: Vec<u8> = Vec::new();
-        let mut core = ServeCore::new(opts_with(Limits::default()));
+        let engine = opts.engine;
+        let mut core = ServeCore::new(opts);
         {
-            let mut writer = ChaosWriter::new(&mut sink, 0);
+            let mut writer = ChaosWriter::new(&mut sink, &engine, 0);
             serve_stream(&mut reader, &mut writer, &mut core).expect("chaos serve");
         }
-        fault::disarm();
         assert_eq!(
             String::from_utf8_lossy(&sink),
             String::from_utf8_lossy(&baseline),
@@ -338,16 +343,12 @@ fn short_reads_and_writes_leave_response_bytes_identical() {
 
 #[test]
 fn injected_panic_poisons_one_request_and_spares_the_rest() {
-    let _guard = fault_lock();
-    fault::disarm();
     let lines: Vec<(usize, String)> = (1..=5)
         .map(|i| (i, scenario_line(&format!("q{i}"))))
         .collect();
     let baseline = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
 
-    fault::arm(FaultPlan::parse("panic@serve:3").expect("plan"));
-    let faulted = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
-    fault::disarm();
+    let faulted = ServeCore::new(armed_opts("panic@serve:3")).handle_lines(&lines);
 
     assert_eq!(faulted.len(), baseline.len());
     for (i, (b, f)) in baseline.iter().zip(&faulted).enumerate() {
@@ -360,33 +361,74 @@ fn injected_panic_poisons_one_request_and_spares_the_rest() {
     }
 
     // The wrong connection is untouched.
-    fault::arm(FaultPlan::parse("panic@serve:conn7:3").expect("plan"));
-    let other_conn = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
-    fault::disarm();
+    let other_conn = ServeCore::new(armed_opts("panic@serve:conn7:3")).handle_lines(&lines);
     assert_eq!(other_conn, baseline);
 }
 
 #[test]
 fn faulted_request_does_not_poison_the_cache() {
-    let _guard = fault_lock();
-    fault::disarm();
-    let mut core = ServeCore::new(opts_with(Limits::default()));
+    let mut clean = ServeCore::new(opts_with(Limits::default()));
 
     // Cold evaluation populates the cache.
-    let cold = core.handle_lines(&[(1, scenario_line("cold"))]);
+    let cold = clean.handle_lines(&[(1, scenario_line("cold"))]);
     assert!(cold[0].contains("\"ok\":true"));
-    assert_eq!(core.cache_entries(), 1);
+    assert_eq!(clean.cache_entries(), 1);
 
-    // Ordinal 1 is the next scenario slot on this core: the injected
-    // panic must produce an error response and leave the cache alone.
-    fault::arm(FaultPlan::parse("panic@serve:1").expect("plan"));
+    // On a core whose engine carries the plan, ordinal 1 is the second
+    // scenario slot: the injected panic must produce an error response
+    // and leave every cache alone.
+    let mut core = ServeCore::new(armed_opts("panic@serve:1"));
+    assert_eq!(core.handle_lines(&[(1, scenario_line("cold"))]), cold);
     let faulted = core.handle_lines(&[(2, scenario_line("hurt"))]);
-    fault::disarm();
     assert!(faulted[0].contains("injected fault"), "{}", faulted[0]);
-    assert_eq!(core.cache_entries(), 1, "faulted eval must not be cached");
+    assert_eq!(core.cache_entries(), 0, "faulted eval must not be cached");
+    assert_eq!(clean.cache_entries(), 1, "faulted eval must not be cached");
 
     // The identical request now recomputes (or hits the clean entry)
     // and its bytes match the cold response exactly, id aside.
     let warm = core.handle_lines(&[(3, scenario_line("cold"))]);
     assert_eq!(warm[0], cold[0], "cache returned poisoned bytes");
+    let warm = clean.handle_lines(&[(3, scenario_line("cold"))]);
+    assert_eq!(warm[0], cold[0], "cache returned poisoned bytes");
+}
+
+/// The `cache.hits` gauge of `core`'s ping response.
+fn ping_cache_hits(core: &mut ServeCore) -> f64 {
+    let pong = core.handle_lines(&[(1, "{\"ping\": true}".to_string())]);
+    let parsed = focal_serve::json::JsonValue::parse(&pong[0]).expect("pong parses");
+    let ping = parsed.get("ping").and_then(|p| p.get("cache"));
+    match ping.and_then(|c| c.get("hits")) {
+        Some(focal_serve::json::JsonValue::Num(n)) => *n,
+        other => panic!("no cache.hits gauge: {other:?}"),
+    }
+}
+
+#[test]
+fn an_armed_core_leaves_an_unarmed_core_beside_it_caching() {
+    let lines: Vec<(usize, String)> = (1..=3)
+        .map(|i| (i, scenario_line(&format!("q{i}"))))
+        .collect();
+    std::thread::scope(|scope| {
+        let faulted = scope.spawn(|| {
+            let mut core = ServeCore::new(armed_opts("panic@serve:conn0:1"));
+            for round in 0..10 {
+                // Request ordinal 1 is the second slot of the first round.
+                let responses = core.handle_lines(&lines);
+                for (slot, response) in responses.iter().enumerate() {
+                    let injected = round == 0 && slot == 1;
+                    assert_eq!(response.contains("injected fault"), injected, "{response}");
+                }
+                assert_eq!(core.cache_entries(), 0, "an armed core never caches");
+            }
+        });
+        let mut core = ServeCore::new(opts_with(Limits::default()));
+        let cold = core.handle_lines(&lines);
+        for round in 1..=10 {
+            assert_eq!(core.handle_lines(&lines), cold, "round {round}");
+            assert!(cold.iter().all(|r| r.contains("\"ok\":true")), "{cold:?}");
+        }
+        assert_eq!(core.cache_entries(), 1);
+        assert_eq!(ping_cache_hits(&mut core), 30.0);
+        faulted.join().expect("armed core thread");
+    });
 }

@@ -57,34 +57,19 @@ pub fn verdict_robustness(
     samples: usize,
     seed: u64,
 ) -> Result<Vec<VerdictRobustness>> {
-    verdict_robustness_on(
+    verdict_robustness_with(
         &focal_engine::Engine::from_env(),
         ratio_jitter,
         samples,
         seed,
+        &mut None,
     )
 }
 
-/// [`verdict_robustness`] on an explicit engine: the Monte-Carlo sampler
-/// uses chunked per-seed streams, so the agreements are bit-identical at
-/// every thread count.
-///
-/// # Errors
-///
-/// Propagates model-construction errors; never fails for the built-in
-/// taxonomy with `ratio_jitter ∈ [0, 1)`.
-pub fn verdict_robustness_on(
-    engine: &focal_engine::Engine,
-    ratio_jitter: f64,
-    samples: usize,
-    seed: u64,
-) -> Result<Vec<VerdictRobustness>> {
-    let mut memo = None;
-    verdict_robustness_with(engine, ratio_jitter, samples, seed, &mut memo)
-}
-
-/// [`verdict_robustness_on`] with an optional [`focal_core::SweepMemo`]:
-/// every Monte-Carlo experiment is routed through
+/// [`verdict_robustness`] on an explicit engine, with an optional
+/// [`focal_core::SweepMemo`]. The Monte-Carlo sampler uses chunked
+/// per-seed streams, so the agreements are bit-identical at every thread
+/// count. With a memo, every Monte-Carlo experiment is routed through
 /// [`MonteCarloNcf::run_memo_on`], so a second sweep with the same
 /// parameters (e.g. the scenario-DSL twin of the suite's robustness stage)
 /// is answered from the cache. `None` falls back to the unmemoized path.
