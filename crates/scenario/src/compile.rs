@@ -6,10 +6,10 @@
 
 use std::path::Path;
 
-use crate::canonical::{canonicalize, figure_id, CanonicalScenario, StudySpec};
+use crate::canonical::{canonicalize, CanonicalScenario, StudySpec};
 use crate::digest::digest_entry;
 use crate::error::{Result, ScenarioError};
-use crate::schema::{parse_scenario, ScenarioKind, StudyFamily};
+use crate::schema::{parse_scenario, ScenarioKind};
 use focal_core::{ModelError, SweepMemo};
 use focal_engine::Engine;
 use focal_studies::die_shrink::DieShrinkStudy;
@@ -104,7 +104,7 @@ impl CompiledScenario {
     #[must_use]
     pub fn registry_id(&self) -> Option<String> {
         match self.canonical.kind {
-            ScenarioKind::Figure => figure_id(self.canonical.family).map(str::to_string),
+            ScenarioKind::Figure => self.canonical.family.figure.map(str::to_string),
             ScenarioKind::Finding => self
                 .canonical
                 .index
@@ -132,16 +132,11 @@ impl CompiledScenario {
     /// Propagates any model error from the underlying study.
     pub fn evaluate(&self) -> focal_core::Result<ScenarioOutput> {
         let c = &self.canonical;
-        match (&c.spec, c.kind) {
-            (StudySpec::Taxonomy { .. }, _) => Err(ModelError::Inconsistent {
+        match c.kind {
+            ScenarioKind::Figure => self.evaluate_figure(&c.spec).map(ScenarioOutput::Figure),
+            ScenarioKind::Finding => self.evaluate_finding(&c.spec).map(ScenarioOutput::Finding),
+            ScenarioKind::Robustness => Err(ModelError::Inconsistent {
                 constraint: "robustness scenarios run on an engine; use evaluate_on",
-            }),
-            (spec, ScenarioKind::Figure) => self.evaluate_figure(spec).map(ScenarioOutput::Figure),
-            (spec, ScenarioKind::Finding) => {
-                self.evaluate_finding(spec).map(ScenarioOutput::Finding)
-            }
-            (_, ScenarioKind::Robustness) => Err(ModelError::Inconsistent {
-                constraint: "robustness scenarios run on the taxonomy study",
             }),
         }
     }
@@ -233,10 +228,7 @@ impl CompiledScenario {
                 alphas,
             } => study.figure8_grid(*steps, *max_area, alphas),
             StudySpec::CaseStudy { study, alphas } => study.figure9_weights(alphas),
-            StudySpec::Dvfs { .. }
-            | StudySpec::Gating { .. }
-            | StudySpec::DieShrink
-            | StudySpec::Taxonomy { .. } => Err(ModelError::Inconsistent {
+            _ => Err(ModelError::Inconsistent {
                 constraint: "this study family has no figure",
             }),
         }
@@ -246,62 +238,28 @@ impl CompiledScenario {
         let index = self.canonical.index.ok_or(ModelError::Inconsistent {
             constraint: "finding scenarios carry an index",
         })?;
-        let unmatched = Err(ModelError::Inconsistent {
-            constraint: "finding index does not belong to this study family",
-        });
-        match spec {
-            StudySpec::Multicore { study, .. } => match index {
-                1 => study.finding1(),
-                2 => study.finding2(),
-                3 => study.finding3(),
-                _ => unmatched,
-            },
-            StudySpec::Asymmetric { study, .. } => match index {
-                4 => study.finding4(),
-                5 => study.finding5(),
-                _ => unmatched,
-            },
-            StudySpec::Accelerator { study, .. } => match index {
-                6 => study.finding6(),
-                _ => unmatched,
-            },
-            StudySpec::DarkSilicon { study, .. } => match index {
-                7 => study.finding7(),
-                _ => unmatched,
-            },
-            StudySpec::Caching { study, .. } => match index {
-                8 => study.finding8(),
-                _ => unmatched,
-            },
-            StudySpec::Microarch { .. } => match index {
-                9 => MicroarchStudy.finding9(),
-                10 => MicroarchStudy.finding10(),
-                11 => MicroarchStudy.finding11(),
-                _ => unmatched,
-            },
-            StudySpec::Speculation { study, .. } => match index {
-                12 => study.finding12(),
-                13 => study.finding13(),
-                _ => unmatched,
-            },
-            StudySpec::Dvfs { study } => match index {
-                14 => study.finding14(),
-                15 => study.finding15(),
-                _ => unmatched,
-            },
-            StudySpec::Gating { study } => match index {
-                16 => study.finding16(),
-                _ => unmatched,
-            },
-            StudySpec::DieShrink => match index {
-                17 => DieShrinkStudy.finding17(),
-                _ => unmatched,
-            },
-            StudySpec::CaseStudy { study, .. } => match index {
-                18 => study.headline(),
-                _ => unmatched,
-            },
-            StudySpec::Wafer { .. } | StudySpec::Taxonomy { .. } => unmatched,
+        match (spec, index) {
+            (StudySpec::Multicore { study, .. }, 1) => study.finding1(),
+            (StudySpec::Multicore { study, .. }, 2) => study.finding2(),
+            (StudySpec::Multicore { study, .. }, 3) => study.finding3(),
+            (StudySpec::Asymmetric { study, .. }, 4) => study.finding4(),
+            (StudySpec::Asymmetric { study, .. }, 5) => study.finding5(),
+            (StudySpec::Accelerator { study, .. }, 6) => study.finding6(),
+            (StudySpec::DarkSilicon { study, .. }, 7) => study.finding7(),
+            (StudySpec::Caching { study, .. }, 8) => study.finding8(),
+            (StudySpec::Microarch { .. }, 9) => MicroarchStudy.finding9(),
+            (StudySpec::Microarch { .. }, 10) => MicroarchStudy.finding10(),
+            (StudySpec::Microarch { .. }, 11) => MicroarchStudy.finding11(),
+            (StudySpec::Speculation { study, .. }, 12) => study.finding12(),
+            (StudySpec::Speculation { study, .. }, 13) => study.finding13(),
+            (StudySpec::Dvfs { study }, 14) => study.finding14(),
+            (StudySpec::Dvfs { study }, 15) => study.finding15(),
+            (StudySpec::Gating { study }, 16) => study.finding16(),
+            (StudySpec::DieShrink, 17) => DieShrinkStudy.finding17(),
+            (StudySpec::CaseStudy { study, .. }, 18) => study.headline(),
+            _ => Err(ModelError::Inconsistent {
+                constraint: "finding index does not belong to this study family",
+            }),
         }
     }
 }
@@ -347,25 +305,20 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CompiledScenario>> {
     for path in &paths {
         scenarios.push((load_file(path)?, path.display().to_string()));
     }
-    let mut by_id: Vec<(String, String)> = scenarios
-        .iter()
-        .map(|(s, file)| (s.id().to_string(), file.clone()))
-        .collect();
-    by_id.sort();
-    for pair in by_id.windows(2) {
-        if let [(id_a, file_a), (id_b, file_b)] = pair {
-            if id_a == id_b {
+    scenarios.sort_by(|(a, file_a), (b, file_b)| (a.id(), file_a).cmp(&(b.id(), file_b)));
+    for pair in scenarios.windows(2) {
+        if let [(a, file_a), (b, file_b)] = pair {
+            if a.id() == b.id() {
                 return Err(ScenarioError::new(format!(
-                    "duplicate scenario id `{id_a}`: defined in {file_a} and {file_b}"
+                    "duplicate scenario id `{}`: defined in {file_a} and {file_b}",
+                    a.id()
                 ))
                 .in_file(file_b)
                 .for_key("id"));
             }
         }
     }
-    let mut compiled: Vec<CompiledScenario> = scenarios.into_iter().map(|(s, _)| s).collect();
-    compiled.sort_by(|a, b| a.id().cmp(b.id()));
-    Ok(compiled)
+    Ok(scenarios.into_iter().map(|(s, _)| s).collect())
 }
 
 /// Evaluates a batch of scenarios on the engine. Non-robustness
@@ -427,13 +380,6 @@ fn evaluate_all(
         out.push((scenario.id().to_string(), result));
     }
     Ok(out)
-}
-
-/// True when the scenario is taxonomy robustness (needs the engine
-/// rather than the parallel fan).
-#[must_use]
-pub fn is_robustness_family(scenario: &CompiledScenario) -> bool {
-    scenario.canonical().family == StudyFamily::Taxonomy
 }
 
 #[cfg(test)]

@@ -27,14 +27,15 @@ pub mod canonical;
 pub mod compile;
 pub mod digest;
 pub mod error;
+pub mod family;
 pub mod schema;
 pub mod toml;
 
-pub use canonical::{canonicalize, figure_id, finding_indices, CanonicalScenario, StudySpec};
+pub use canonical::{canonicalize, CanonicalScenario, StudySpec};
 pub use compile::{
-    evaluate_all_memo_on, evaluate_all_on, is_robustness_family, load_dir, load_file,
-    CompiledScenario, ScenarioOutput,
+    evaluate_all_memo_on, evaluate_all_on, load_dir, load_file, CompiledScenario, ScenarioOutput,
 };
 pub use digest::{digest_entry, fnv64};
 pub use error::{Result, ScenarioError};
-pub use schema::{parse_scenario, ScenarioDef, ScenarioKind, StudyFamily};
+pub use family::{FamilyDesc, FAMILIES};
+pub use schema::{parse_scenario, KeyDesc, ScenarioDef, ScenarioKind, KEYS, MAX_COUNT};
