@@ -683,6 +683,30 @@ mod tests {
     }
 
     #[test]
+    fn oversized_grid_is_a_bad_request_naming_the_key() {
+        let mut core = core();
+        let scenario = concat!(
+            "[scenario]\nid = \"huge\"\nkind = \"figure\"\nstudy = \"accelerator\"\n",
+            "[sweep]\nutilization_steps = 1000000\n",
+        );
+        let line = format!(
+            "{{\"id\": \"huge\", \"scenario\": \"{}\"}}",
+            crate::json::escape(scenario)
+        );
+        let responses = core.handle_lines(&[(1, line)]);
+        assert_eq!(responses.len(), 1);
+        let response = &responses[0];
+        assert!(response.contains("\"kind\":\"bad_request\""), "{response}");
+        assert!(
+            response.contains("\"key\":\"utilization_steps\""),
+            "{response}"
+        );
+        assert!(response.contains("request:1:6"), "{response}");
+        assert!(response.contains("must be at most 10000"), "{response}");
+        assert_eq!(core.stats().errors, 1);
+    }
+
+    #[test]
     fn cache_off_produces_identical_bytes() {
         let mut on = core();
         let mut off = ServeCore::new(ServeOptions {
