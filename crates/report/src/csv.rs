@@ -3,6 +3,33 @@
 
 use std::fmt::Write as _;
 
+/// Appends one CSV cell to `out`, quoted (with inner quotes doubled)
+/// only when it contains `,`, `"`, `\n` or `\r`. This is the one
+/// quoting routine: [`CsvWriter`] and callers that render straight into
+/// their own buffer both go through it.
+///
+/// # Examples
+///
+/// ```
+/// let mut out = String::from("x,");
+/// focal_report::write_cell(&mut out, "say \"hi\"");
+/// assert_eq!(out, "x,\"say \"\"hi\"\"\"");
+/// ```
+pub fn write_cell(out: &mut String, cell: &str) {
+    if cell.contains([',', '"', '\n', '\r']) {
+        out.push('"');
+        for (i, part) in cell.split('"').enumerate() {
+            if i > 0 {
+                out.push_str("\"\"");
+            }
+            out.push_str(part);
+        }
+        out.push('"');
+    } else {
+        out.push_str(cell);
+    }
+}
+
 /// Builds CSV text row by row.
 ///
 /// # Examples
@@ -29,18 +56,18 @@ impl CsvWriter {
             columns: headers.len(),
             out: String::new(),
         };
-        let cells: Vec<String> = headers.iter().map(|h| Self::escape(h.as_ref())).collect();
-        w.out.push_str(&cells.join(","));
-        w.out.push('\n');
+        w.push_row(headers.iter().map(AsRef::as_ref));
         w
     }
 
-    fn escape(cell: &str) -> String {
-        if cell.contains([',', '"', '\n', '\r']) {
-            format!("\"{}\"", cell.replace('"', "\"\""))
-        } else {
-            cell.to_string()
+    fn push_row<'a>(&mut self, cells: impl Iterator<Item = &'a str>) {
+        for (i, cell) in cells.enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            write_cell(&mut self.out, cell);
         }
+        self.out.push('\n');
     }
 
     /// Appends a row of string cells.
@@ -50,9 +77,7 @@ impl CsvWriter {
     /// Panics if the row width differs from the header width.
     pub fn row(&mut self, cells: &[String]) -> &mut Self {
         assert_eq!(cells.len(), self.columns, "CSV row width mismatch");
-        let escaped: Vec<String> = cells.iter().map(|c| Self::escape(c)).collect();
-        self.out.push_str(&escaped.join(","));
-        self.out.push('\n');
+        self.push_row(cells.iter().map(String::as_str));
         self
     }
 

@@ -4,7 +4,7 @@
 //! print the regenerated paper figures and findings:
 //!
 //! * [`Table`] — aligned plain-text and Markdown tables.
-//! * [`CsvWriter`] — RFC-4180 CSV for downstream plotting.
+//! * [`CsvWriter`] / [`write_cell`] — RFC-4180 CSV for downstream plotting.
 //! * [`AsciiChart`] / [`ChartSeries`] — terminal scatter plots of each
 //!   figure's series.
 
@@ -16,5 +16,5 @@ mod csv;
 mod table;
 
 pub use chart::{AsciiChart, ChartSeries};
-pub use csv::CsvWriter;
+pub use csv::{write_cell, CsvWriter};
 pub use table::{Align, Table};

@@ -31,17 +31,17 @@ pub enum ScenarioOutput {
 }
 
 impl ScenarioOutput {
-    /// Renders the output to its canonical bytes: figures as CSV (the
+    /// Renders the output to its canonical text: figures as CSV (the
     /// exact bytes the suite digests), findings and robustness rows as
     /// their stable text forms.
     #[must_use]
-    pub fn to_bytes(&self) -> Vec<u8> {
+    pub fn to_text(&self) -> String {
         match self {
-            ScenarioOutput::Figure(figure) => figure.to_csv().into_bytes(),
+            ScenarioOutput::Figure(figure) => figure.to_csv(),
             ScenarioOutput::Finding(finding) => {
                 let mut text = finding.to_string();
                 text.push('\n');
-                text.into_bytes()
+                text
             }
             ScenarioOutput::Robustness(rows) => {
                 let mut text = String::new();
@@ -54,16 +54,22 @@ impl ScenarioOutput {
                         row.fixed_time_agreement
                     ));
                 }
-                text.into_bytes()
+                text
             }
         }
     }
 
+    /// [`ScenarioOutput::to_text`] as bytes.
+    #[must_use]
+    pub fn to_bytes(&self) -> Vec<u8> {
+        self.to_text().into_bytes()
+    }
+
     /// The suite-format digest entry (`"{len} bytes, fnv64={hash:016x}"`)
-    /// of [`ScenarioOutput::to_bytes`].
+    /// of [`ScenarioOutput::to_text`].
     #[must_use]
     pub fn digest_entry(&self) -> String {
-        digest_entry(&self.to_bytes())
+        digest_entry(self.to_text().as_bytes())
     }
 }
 

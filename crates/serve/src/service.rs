@@ -11,12 +11,16 @@
 //!    compile + digest-level probe). Hits render straight from the
 //!    cached evaluation.
 //! 3. **Fan out** the deduplicated misses: deterministic scenarios go
-//!    through [`focal_engine::Engine::try_par_map_isolated`] (one
-//!    panicking query poisons only its own slot), robustness scenarios
-//!    run sequentially through the shared sweep memo under their own
-//!    `catch_unwind`.
+//!    through [`focal_engine::Engine::try_par_map_isolated`], and each
+//!    worker both evaluates *and* encodes its scenario into the cache
+//!    entry (output text, digest entry), so encoding runs in parallel
+//!    and one panicking query, in either step, poisons only its own
+//!    slot. Robustness scenarios run sequentially through the shared
+//!    sweep memo under their own `catch_unwind` and are encoded on the
+//!    connection thread.
 //! 4. **Render** responses in input order, splicing the request id and
-//!    `include_output` choice into the (possibly cached) evaluation.
+//!    `include_output` choice into the (possibly cached) evaluation,
+//!    then move the fresh evaluations into the cache.
 //!
 //! # Determinism
 //!
@@ -400,8 +404,9 @@ impl ServeCore {
         }
     }
 
-    /// Evaluates the miss queue and rewrites every `Pending` slot into
-    /// a `Ready` response.
+    /// Evaluates the miss queue, rewrites every `Pending` slot into a
+    /// `Ready` response, then moves the fresh evaluations into the
+    /// cache (response bytes never depend on insert order).
     fn evaluate_queue(&mut self, queue: Vec<QueueEntry>, caching: bool, slots: &mut [Slot]) {
         if queue.is_empty() {
             return;
@@ -417,14 +422,8 @@ impl ServeCore {
             if entry.compiled.canonical().kind == ScenarioKind::Robustness {
                 let outcome =
                     self.evaluate_robustness(&entry.compiled, entry.inject_panic, caching);
-                let result = finish_eval(&entry.compiled, outcome);
-                if caching {
-                    if let Ok(eval) = &result {
-                        self.cache.insert(&entry.text, eval.clone());
-                    }
-                }
                 if let Some(slot) = results.get_mut(idx) {
-                    *slot = Some(result);
+                    *slot = Some(finish_eval(&entry.compiled, entry.digest, outcome));
                 }
             } else {
                 fan.push((idx, entry));
@@ -440,20 +439,17 @@ impl ServeCore {
                         // focal-lint: allow(panic-freedom) -- deliberate injected fault; the engine's per-item isolation must contain it
                         panic!("injected fault: {plan}");
                     }
-                    entry.compiled.evaluate()
+                    let outcome = entry
+                        .compiled
+                        .evaluate()
+                        .map_err(|e| format!("evaluation failed: {e}"));
+                    finish_eval(&entry.compiled, entry.digest, outcome)
                 }) {
                 Ok(outcomes) => {
-                    for ((idx, entry), outcome) in fan.iter().zip(outcomes) {
-                        let outcome = match outcome {
-                            Ok(inner) => inner.map_err(|e| format!("evaluation failed: {e}")),
-                            Err(ce) => Err(format!("evaluation panicked: {}", ce.payload)),
-                        };
-                        let result = finish_eval(&entry.compiled, outcome);
-                        if caching {
-                            if let Ok(eval) = &result {
-                                self.cache.insert(&entry.text, eval.clone());
-                            }
-                        }
+                    for ((idx, _), outcome) in fan.iter().zip(outcomes) {
+                        let result = outcome.unwrap_or_else(|ce| {
+                            Err(format!("evaluation panicked: {}", ce.payload))
+                        });
                         if let Some(slot) = results.get_mut(*idx) {
                             *slot = Some(result);
                         }
@@ -508,6 +504,14 @@ impl ServeCore {
                 }),
             };
             *slot = Slot::Ready(rendered);
+        }
+
+        if caching {
+            for (entry, result) in queue.iter().zip(results) {
+                if let Some(Ok(eval)) = result {
+                    self.cache.insert(&entry.text, eval);
+                }
+            }
         }
     }
 
@@ -571,20 +575,25 @@ impl ServeCore {
     }
 }
 
-/// Builds the cache entry (or error string) from one finished
-/// evaluation.
+/// Encodes one finished evaluation into its cache entry (or passes the
+/// error string through). `scenario_digest` is the canonical digest
+/// `resolve` already computed for the queue entry.
 fn finish_eval(
     compiled: &CompiledScenario,
+    scenario_digest: u64,
     outcome: Result<focal_scenario::ScenarioOutput, String>,
 ) -> Result<CachedEval, String> {
-    let output = outcome?;
-    let bytes = output.to_bytes();
+    let mut output_text = outcome?.to_text();
+    // The text stays cached for the connection's lifetime, so give back
+    // the buffer's growth slack (up to half its capacity) first; keeping
+    // it raised the cold-distinct workload's peak RSS by a third.
+    output_text.shrink_to_fit();
     Ok(CachedEval {
         scenario_id: compiled.id().to_string(),
         kind: compiled.canonical().kind.as_str().to_string(),
-        digest_entry: focal_scenario::digest_entry(&bytes),
-        output_text: String::from_utf8_lossy(&bytes).into_owned(),
-        scenario_digest: compiled.canonical().digest(),
+        digest_entry: focal_scenario::digest_entry(output_text.as_bytes()),
+        output_text,
+        scenario_digest,
         seed: compiled.mc_seed().unwrap_or(0),
     })
 }

@@ -11,15 +11,15 @@ use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 
-/// A serial engine carrying the plan parsed from `spec`.
-fn armed(spec: &str) -> Engine {
-    Engine::serial().with_faults(Box::leak(Box::new(FaultPlan::parse(spec).expect("plan"))))
+/// `engine` carrying the plan parsed from `spec`.
+fn armed(engine: Engine, spec: &str) -> Engine {
+    engine.with_faults(Box::leak(Box::new(FaultPlan::parse(spec).expect("plan"))))
 }
 
 /// Options for a core armed with the plan parsed from `spec`.
 fn armed_opts(spec: &str) -> ServeOptions {
     ServeOptions {
-        engine: armed(spec),
+        engine: armed(Engine::serial(), spec),
         ..opts_with(Limits::default())
     }
 }
@@ -289,7 +289,7 @@ fn injected_latency_trips_the_request_deadline() {
         ..Limits::default()
     };
     let mut core = ServeCore::new(ServeOptions {
-        engine: armed("latency@serve:80ms"),
+        engine: armed(Engine::serial(), "latency@serve:80ms"),
         ..opts_with(limits)
     });
     let responses = core.handle_lines(&[(1, scenario_line("slow"))]);
@@ -346,23 +346,31 @@ fn injected_panic_poisons_one_request_and_spares_the_rest() {
     let lines: Vec<(usize, String)> = (1..=5)
         .map(|i| (i, scenario_line(&format!("q{i}"))))
         .collect();
-    let baseline = ServeCore::new(opts_with(Limits::default())).handle_lines(&lines);
+    // Serial, and fanned out across workers that evaluate and encode.
+    for engine in [Engine::serial(), Engine::with_threads(4)] {
+        let opts = |engine| ServeOptions {
+            engine,
+            ..opts_with(Limits::default())
+        };
+        let baseline = ServeCore::new(opts(engine)).handle_lines(&lines);
 
-    let faulted = ServeCore::new(armed_opts("panic@serve:3")).handle_lines(&lines);
+        let faulted = ServeCore::new(opts(armed(engine, "panic@serve:3"))).handle_lines(&lines);
 
-    assert_eq!(faulted.len(), baseline.len());
-    for (i, (b, f)) in baseline.iter().zip(&faulted).enumerate() {
-        if i == 3 {
-            assert!(f.contains("\"kind\":\"evaluation\""), "slot 3: {f}");
-            assert!(f.contains("injected fault"), "slot 3: {f}");
-        } else {
-            assert_eq!(b, f, "surviving slot {i} diverged from the fault-free run");
+        assert_eq!(faulted.len(), baseline.len());
+        for (i, (b, f)) in baseline.iter().zip(&faulted).enumerate() {
+            if i == 3 {
+                assert!(f.contains("\"kind\":\"evaluation\""), "slot 3: {f}");
+                assert!(f.contains("injected fault"), "slot 3: {f}");
+            } else {
+                assert_eq!(b, f, "surviving slot {i} diverged from the fault-free run");
+            }
         }
-    }
 
-    // The wrong connection is untouched.
-    let other_conn = ServeCore::new(armed_opts("panic@serve:conn7:3")).handle_lines(&lines);
-    assert_eq!(other_conn, baseline);
+        // The wrong connection is untouched.
+        let other_conn =
+            ServeCore::new(opts(armed(engine, "panic@serve:conn7:3"))).handle_lines(&lines);
+        assert_eq!(other_conn, baseline);
+    }
 }
 
 #[test]

@@ -51,23 +51,28 @@ fn serve_with(input: &str, threads: usize, cache: bool) -> String {
 
 #[test]
 fn bytes_identical_across_threads_and_cache() {
-    let input = request_stream(2, false);
-    let reference = serve_with(&input, 1, true);
-    assert!(reference.contains("\"ok\":true"));
-    assert!(
-        !reference.contains("\"ok\":false"),
-        "corpus scenario failed: {}",
-        reference
-            .lines()
-            .find(|l| l.contains("\"ok\":false"))
-            .unwrap_or_default()
-    );
-    for (threads, cache) in [(4, true), (1, false), (4, false)] {
-        let got = serve_with(&input, threads, cache);
-        assert_eq!(
-            got, reference,
-            "serve bytes diverged at threads={threads} cache={cache}"
+    // With output the CSV text itself is compared, not just its digest.
+    for include_output in [false, true] {
+        let input = request_stream(2, include_output);
+        let reference = serve_with(&input, 1, true);
+        assert!(reference.contains("\"ok\":true"));
+        assert!(
+            !reference.contains("\"ok\":false"),
+            "corpus scenario failed: {}",
+            reference
+                .lines()
+                .find(|l| l.contains("\"ok\":false"))
+                .unwrap_or_default()
         );
+        assert_eq!(reference.contains("\"output\":"), include_output);
+        for (threads, cache) in [(4, true), (1, false), (4, false)] {
+            let got = serve_with(&input, threads, cache);
+            assert_eq!(
+                got, reference,
+                "serve bytes diverged at threads={threads} cache={cache} \
+                 include_output={include_output}"
+            );
+        }
     }
 }
 

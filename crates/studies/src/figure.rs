@@ -2,7 +2,8 @@
 //! [`Figure`] of [`Panel`]s of [`focal_core::SweepSeries`].
 
 use focal_core::SweepSeries;
-use focal_report::{AsciiChart, ChartSeries, CsvWriter};
+use focal_report::{write_cell, AsciiChart, ChartSeries};
+use std::fmt::Write as _;
 
 /// One panel of a paper figure (e.g. Figure 3(a) "embodied dominated,
 /// fixed-work").
@@ -37,21 +38,20 @@ impl Panel {
         chart
     }
 
-    /// Renders the panel's data as CSV
-    /// (`series,label,performance,ncf` rows).
-    pub fn to_csv(&self) -> String {
-        let mut csv = CsvWriter::new(vec!["series", "label", "performance", "ncf"]);
+    /// Appends the panel's data to `out` as CSV: a
+    /// `series,label,performance,ncf` header, then one row per point.
+    fn write_csv(&self, out: &mut String) {
+        out.push_str("series,label,performance,ncf\n");
         for s in &self.series {
             for p in &s.points {
-                csv.row(&[
-                    s.name.clone(),
-                    p.label.clone(),
-                    format!("{}", p.performance),
-                    format!("{}", p.ncf),
-                ]);
+                write_cell(out, &s.name);
+                out.push(',');
+                write_cell(out, &p.label);
+                write!(out, ",{},{}", p.performance, p.ncf)
+                    .expect("writing to a String cannot fail");
+                out.push('\n');
             }
         }
-        csv.finish()
     }
 }
 
@@ -76,12 +76,17 @@ impl Figure {
         }
     }
 
-    /// Renders every panel as CSV, concatenated with panel headers.
+    /// Renders every panel as CSV into one buffer, each panel after a
+    /// `# <id> — <title>` header line.
     pub fn to_csv(&self) -> String {
         let mut out = String::new();
         for p in &self.panels {
-            out.push_str(&format!("# {} — {}\n", self.id, p.title));
-            out.push_str(&p.to_csv());
+            out.push_str("# ");
+            out.push_str(self.id);
+            out.push_str(" — ");
+            out.push_str(&p.title);
+            out.push('\n');
+            p.write_csv(&mut out);
         }
         out
     }
@@ -118,6 +123,44 @@ mod tests {
         assert!(csv.contains("# figX — panel (a)"));
         assert!(csv.contains("f=0.5,2 cores,1.33,0.9"));
         assert!(csv.contains("f=0.5,4 cores,1.6,0.8"));
+    }
+
+    /// Pins the exact bytes of quoted cells (`,`, `"`, `\n`, `\r`,
+    /// non-ASCII) and of float spellings (signed zero, tiny and huge
+    /// magnitudes, NaN, infinities).
+    #[test]
+    fn csv_quoting_and_float_spellings_are_pinned() {
+        let mut plain = SweepSeries::new("plain");
+        plain.push_raw("zero", 0.0, -0.0);
+        plain.push_raw("tiny", 1e-7, 1e21);
+        plain.push_raw("nan", f64::NAN, f64::INFINITY);
+        plain.push_raw("négatif µm²", -1.5, f64::NEG_INFINITY);
+        let mut quoted = SweepSeries::new("a,b \"q\"");
+        quoted.push_raw("line\nbreak", 1.0, 2.0);
+        quoted.push_raw("cr\rhere", 0.1, 0.2);
+        quoted.push_raw("ünï, “cødé” µm²", 3.0, 4.0);
+        quoted.push_raw("", 5.0, 6.0);
+        let fig = Figure::new(
+            "figQ",
+            "quoting pin",
+            vec![
+                Panel::new("(a) plain, unquoted", vec![plain]),
+                Panel::new("(b) \"quoted\"", vec![quoted]),
+                Panel::new("(c) empty", vec![]),
+            ],
+        );
+        assert_eq!(
+            fig.to_csv(),
+            "# figQ — (a) plain, unquoted\nseries,label,performance,ncf\n\
+             plain,zero,0,-0\nplain,tiny,0.0000001,1000000000000000000000\n\
+             plain,nan,NaN,inf\nplain,négatif µm²,-1.5,-inf\n\
+             # figQ — (b) \"quoted\"\nseries,label,performance,ncf\n\
+             \"a,b \"\"q\"\"\",\"line\nbreak\",1,2\n\
+             \"a,b \"\"q\"\"\",\"cr\rhere\",0.1,0.2\n\
+             \"a,b \"\"q\"\"\",\"ünï, “cødé” µm²\",3,4\n\
+             \"a,b \"\"q\"\"\",,5,6\n\
+             # figQ — (c) empty\nseries,label,performance,ncf\n"
+        );
     }
 
     #[test]
