@@ -16,6 +16,10 @@ pub mod dump;
 pub mod micro;
 pub mod suite;
 
+// focal-serve escapes its responses through this re-export: the locked
+// perfbench manifest pins serve's dependency list, which has no focal-report.
+pub use focal_report::json_escape;
+
 /// `git rev-parse --short HEAD` of the checkout this crate was built
 /// from (`unknown` outside a git checkout), stamped at build time. Bench
 /// records and serve responses carry it as their provenance revision.

@@ -9,7 +9,7 @@
 //! (one record per kernel: `{kernel, ns_per_op, iters, threads,
 //! git_rev}`), which CI regenerates and archives on every run.
 
-use crate::suite::json_escape;
+use focal_report::json_escape;
 use std::fmt::Write as _;
 use std::time::Instant;
 

@@ -26,11 +26,11 @@
 //! a faulted report stays byte-identical across `FOCAL_THREADS` values.
 
 use focal_core::{
-    alpha_crossover_batch, alpha_crossover_batch_memo, classify_over_range_memo_on,
-    classify_over_range_on, DesignPoint, E2oRange, ModelError, Result, Scenario, SweepMemo,
-    SweepMemoStats,
+    alpha_crossover_batch, classify_over_range_on, DesignPoint, E2oRange, ModelError, Result,
+    Scenario, SweepMemo, SweepMemoStats,
 };
 use focal_engine::{ChunkError, Engine};
+use focal_report::json_escape;
 use focal_studies::robustness::verdict_robustness_with;
 use focal_wafer::{DefectDistribution, DefectSimulator, DiePlacement, Wafer, YieldModel};
 use std::fmt::Write as _;
@@ -156,22 +156,6 @@ pub struct SuiteReport {
     /// metadata, not deterministic content: it appears only in the timed
     /// report, so the `--no-timings` byte-diff is memo-agnostic.
     pub memo_stats: Option<SweepMemoStats>,
-}
-
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 impl SuiteReport {
@@ -443,10 +427,7 @@ fn scenarios_stage(engine: &Engine, dir: &Path, memo: Option<&mut SweepMemo>) ->
                 return Ok((false, vec![("load-error".to_string(), e.to_string())]));
             }
         };
-        let results = match memo {
-            Some(memo) => focal_scenario::evaluate_all_memo_on(engine, &scenarios, memo)?,
-            None => focal_scenario::evaluate_all_on(engine, &scenarios)?,
-        };
+        let results = focal_scenario::evaluate_all_on(engine, &scenarios, memo)?;
         let mut passed = !results.is_empty();
         let mut entries: Vec<(String, String)> = Vec::with_capacity(results.len());
         for (id, result) in results {
@@ -593,22 +574,14 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
         let pairs: Vec<(DesignPoint, DesignPoint)> =
             mechanisms.iter().map(|&(_, x, y)| (x, y)).collect();
         let mut memo = memo.as_mut();
-        let (fixed_work, fixed_time) = match memo.as_deref_mut() {
-            Some(memo) => (
-                alpha_crossover_batch_memo(engine, &pairs, Scenario::FixedWork, memo),
-                alpha_crossover_batch_memo(engine, &pairs, Scenario::FixedTime, memo),
-            ),
-            None => (
-                alpha_crossover_batch(engine, &pairs, Scenario::FixedWork),
-                alpha_crossover_batch(engine, &pairs, Scenario::FixedTime),
-            ),
-        };
+        let fixed_work =
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedWork, memo.as_deref_mut());
+        let fixed_time =
+            alpha_crossover_batch(engine, &pairs, Scenario::FixedTime, memo.as_deref_mut());
         let mut entries: Vec<(String, String)> = Vec::with_capacity(mechanisms.len());
         for ((name, x, y), (fw, ft)) in mechanisms.iter().zip(fixed_work.iter().zip(&fixed_time)) {
-            let stability = match memo.as_deref_mut() {
-                Some(memo) => classify_over_range_memo_on(engine, x, y, E2oRange::FULL, 101, memo)?,
-                None => classify_over_range_on(engine, x, y, E2oRange::FULL, 101)?,
-            };
+            let stability =
+                classify_over_range_on(engine, x, y, E2oRange::FULL, 101, memo.as_deref_mut())?;
             entries.push((
                 (*name).to_string(),
                 format!(
@@ -691,12 +664,6 @@ pub fn run_suite_with_options(engine: &Engine, options: &SuiteOptions) -> SuiteR
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_escape_handles_specials() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
 
     #[test]
     fn suite_runs_and_passes_on_the_paper_configuration() {

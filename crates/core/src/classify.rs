@@ -1,8 +1,10 @@
 //! Strong / weak / less sustainability classification (§4 of the paper).
 
 use crate::design::DesignPoint;
+use crate::memo::{memoized, SweepMemo};
 use crate::ncf::NcfPair;
 use crate::weight::{E2oRange, E2oWeight};
+use focal_engine::Engine;
 use std::fmt;
 
 /// Default tolerance used when comparing an NCF value against 1.
@@ -191,118 +193,75 @@ pub fn classify_over_range(
     range: E2oRange,
     grid_points: usize,
 ) -> crate::Result<RobustClassification> {
-    classify_over_range_on(&focal_engine::Engine::from_env(), x, y, range, grid_points)
+    classify_over_range_on(&Engine::from_env(), x, y, range, grid_points, None)
 }
 
-/// [`classify_over_range`] on an explicit engine: the α grid is evaluated
-/// in parallel with [`focal_engine::Engine::try_par_map`], which preserves
-/// grid order, so the result is identical at every thread count.
+/// [`classify_over_range`] on an explicit engine, through an optional
+/// [`SweepMemo`]: uncached α grid points are evaluated in parallel with
+/// [`focal_engine::Engine::try_par_map`], which preserves grid order, so
+/// the result is identical at every thread count, with or without a memo.
 ///
 /// # Errors
 ///
 /// See [`classify_over_range`].
 pub fn classify_over_range_on(
-    engine: &focal_engine::Engine,
+    engine: &Engine,
     x: &DesignPoint,
     y: &DesignPoint,
     range: E2oRange,
     grid_points: usize,
+    mut memo: Option<&mut SweepMemo>,
 ) -> crate::Result<RobustClassification> {
     let grid = range.grid(grid_points)?;
-    let per_alpha: Vec<(E2oWeight, Sustainability)> =
-        engine.try_par_map(0, &grid, |&alpha| (alpha, classify(x, y, alpha).class))?;
+    let key = |&alpha: &E2oWeight| SweepMemo::classify_key(x, y, alpha, DEFAULT_TOLERANCE);
+    let class = |&alpha: &E2oWeight| classify(x, y, alpha).class;
+    let fan = |alphas: &[E2oWeight]| Ok(engine.try_par_map(0, alphas, class)?);
+    let classes = memoized(
+        memo.as_deref_mut(),
+        engine,
+        |m| &mut m.classify,
+        key,
+        &grid,
+        fan,
+    )?;
+    let per_alpha: Vec<(E2oWeight, Sustainability)> = grid.into_iter().zip(classes).collect();
     let mut observed = Vec::new();
     for (_, class) in &per_alpha {
         if !observed.contains(class) {
             observed.push(*class);
         }
     }
-    Ok(RobustClassification {
-        at_center: classify(x, y, range.center()).class,
-        observed,
-        per_alpha,
-    })
-}
-
-/// [`classify_over_range_on`] with a [`crate::SweepMemo`]: grid points whose
-/// `(x, y, α)` classification is already cached are answered from the memo,
-/// and only the missing points are fanned out to the engine. The result is
-/// byte-identical to the unmemoized call — the per-point classification is a
-/// pure function of the cache key.
-///
-/// While `engine` carries a fault plan (see [`focal_engine::Engine::faults`])
-/// the memo is bypassed entirely so injected faults reach the real
-/// evaluation path.
-///
-/// # Errors
-///
-/// See [`classify_over_range`].
-pub fn classify_over_range_memo_on(
-    engine: &focal_engine::Engine,
-    x: &DesignPoint,
-    y: &DesignPoint,
-    range: E2oRange,
-    grid_points: usize,
-    memo: &mut crate::SweepMemo,
-) -> crate::Result<RobustClassification> {
-    if engine.faults().is_some() {
-        return classify_over_range_on(engine, x, y, range, grid_points);
-    }
-    let grid = range.grid(grid_points)?;
-    let mut cached: Vec<Option<Sustainability>> = grid
-        .iter()
-        .map(|&alpha| memo.classify_lookup(x, y, alpha, DEFAULT_TOLERANCE))
-        .collect();
-    let missing: Vec<E2oWeight> = grid
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(&alpha, _)| alpha)
-        .collect();
-    let fresh: Vec<(E2oWeight, Sustainability)> = if missing.is_empty() {
-        Vec::new()
-    } else {
-        engine.try_par_map(0, &missing, |&alpha| (alpha, classify(x, y, alpha).class))?
-    };
-    for &(alpha, class) in &fresh {
-        memo.classify_insert(x, y, alpha, DEFAULT_TOLERANCE, class);
-    }
-    let mut fresh = fresh.into_iter();
-    let mut per_alpha = Vec::with_capacity(grid.len());
-    for (&alpha, hit) in grid.iter().zip(cached.iter_mut()) {
-        let class = match hit.take() {
-            Some(class) => class,
-            None => {
-                fresh
-                    .next()
-                    .ok_or(crate::ModelError::Inconsistent {
-                        constraint: "memoized α grid produced fewer fresh results than misses",
-                    })?
-                    .1
-            }
-        };
-        per_alpha.push((alpha, class));
-    }
-    let mut observed = Vec::new();
-    for (_, class) in &per_alpha {
-        if !observed.contains(class) {
-            observed.push(*class);
-        }
-    }
-    let center = range.center();
-    let at_center = match memo.classify_lookup(x, y, center, DEFAULT_TOLERANCE) {
-        Some(class) => class,
-        None => {
-            let class = classify(x, y, center).class;
-            memo.classify_insert(x, y, center, DEFAULT_TOLERANCE, class);
-            class
-        }
-    };
+    // The centre is classified serially, after the grid's inserts, so a
+    // centre on the grid is a memo hit.
+    let serial = |alphas: &[E2oWeight]| Ok(alphas.iter().map(class).collect());
+    let center = [range.center()];
+    let at_center = memoized(memo, engine, |m| &mut m.classify, key, &center, serial)?
+        .pop()
+        .ok_or(crate::ModelError::Inconsistent {
+            constraint: "the α-range centre produced no classification",
+        })?;
     Ok(RobustClassification {
         at_center,
         observed,
         per_alpha,
     })
+}
+
+/// [`classify_over_range_on`] with a memo. Kept, with this signature,
+/// because the perfbench harness calls it.
+///
+/// # Errors
+///
+/// See [`classify_over_range`].
+pub fn classify_over_range_memo_on(
+    engine: &Engine,
+    x: &DesignPoint,
+    y: &DesignPoint,
+    range: E2oRange,
+    grid_points: usize,
+    memo: &mut SweepMemo,
+) -> crate::Result<RobustClassification> {
+    classify_over_range_on(engine, x, y, range, grid_points, Some(memo))
 }
 
 #[cfg(test)]

@@ -6,6 +6,10 @@
 //! same `(x, y, α)` points. [`SweepMemo`] caches those sub-results
 //! across calls so repeated sweeps become lookups.
 //!
+//! `classify_over_range_on`, `alpha_crossover_batch` and
+//! `MonteCarloNcf::run_memo_on` each take an `Option<&mut SweepMemo>`
+//! and run their items through one crate-private routine, `memoized`.
+//!
 //! ## Key policy
 //!
 //! A cache key is the **canonical bit-pattern** of every input that
@@ -23,10 +27,9 @@
 //! can never go stale — a changed input is a different key. The only
 //! ways a cached value could diverge from a fresh evaluation are a
 //! model-code change (a new build, which starts with an empty memo) or
-//! an injected fault; the memoized variants bypass the memo entirely
-//! while their engine carries a fault plan
-//! ([`focal_engine::Engine::faults`]) so injected faults always reach
-//! the real evaluation path.
+//! an injected fault; `memoized` bypasses the memo entirely while the
+//! engine carries a fault plan ([`focal_engine::Engine::faults`]) so
+//! injected faults always reach the real evaluation path.
 //!
 //! ## Determinism and confinement
 //!
@@ -43,6 +46,7 @@ use crate::scenario::Scenario;
 use crate::sensitivity::AlphaCrossover;
 use crate::uncertainty::McSummary;
 use crate::weight::{E2oRange, E2oWeight};
+use focal_engine::Engine;
 
 /// Hit/miss/occupancy counters of one memo table.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -122,7 +126,7 @@ impl SweepMemoStats {
 /// panic-free by construction (indices are masked, access goes through
 /// `get`/`get_mut`).
 #[derive(Debug, Clone)]
-struct MemoTable<const N: usize, V> {
+pub(crate) struct MemoTable<const N: usize, V> {
     /// `None` = empty slot; allocated lazily on first insert.
     slots: Vec<Option<([u64; N], V)>>,
     len: usize,
@@ -263,17 +267,17 @@ fn scenario_word(s: Scenario) -> u64 {
 /// let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 42)?;
 /// let engine = Engine::serial();
 /// let mut memo = SweepMemo::new();
-/// let cold = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, &mut memo)?;
-/// let warm = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, &mut memo)?;
+/// let cold = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, Some(&mut memo))?;
+/// let warm = mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 4096, Some(&mut memo))?;
 /// assert_eq!(cold, warm);
 /// assert_eq!(memo.stats().mc.hits, 1);
 /// # Ok::<(), focal_core::ModelError>(())
 /// ```
 #[derive(Debug, Clone)]
 pub struct SweepMemo {
-    classify: MemoTable<10, Sustainability>,
-    crossover: MemoTable<9, AlphaCrossover>,
-    mc: MemoTable<14, McSummary>,
+    pub(crate) classify: MemoTable<10, Sustainability>,
+    pub(crate) crossover: MemoTable<9, AlphaCrossover>,
+    pub(crate) mc: MemoTable<14, McSummary>,
 }
 
 impl Default for SweepMemo {
@@ -303,7 +307,7 @@ impl SweepMemo {
         }
     }
 
-    fn classify_key(
+    pub(crate) fn classify_key(
         x: &DesignPoint,
         y: &DesignPoint,
         alpha: E2oWeight,
@@ -325,57 +329,13 @@ impl SweepMemo {
         ]
     }
 
-    pub(crate) fn classify_lookup(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        alpha: E2oWeight,
-        tolerance: f64,
-    ) -> Option<Sustainability> {
-        self.classify
-            .lookup(&Self::classify_key(x, y, alpha, tolerance))
-    }
-
-    pub(crate) fn classify_insert(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        alpha: E2oWeight,
-        tolerance: f64,
-        class: Sustainability,
-    ) {
-        self.classify
-            .insert(Self::classify_key(x, y, alpha, tolerance), class);
-    }
-
-    fn crossover_key(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> [u64; 9] {
+    pub(crate) fn crossover_key(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> [u64; 9] {
         let [xa, xp, xe, xs] = design_words(x);
         let [ya, yp, ye, ys] = design_words(y);
         [xa, xp, xe, xs, ya, yp, ye, ys, scenario_word(scenario)]
     }
 
-    pub(crate) fn crossover_lookup(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-    ) -> Option<AlphaCrossover> {
-        self.crossover.lookup(&Self::crossover_key(x, y, scenario))
-    }
-
-    pub(crate) fn crossover_insert(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        result: AlphaCrossover,
-    ) {
-        self.crossover
-            .insert(Self::crossover_key(x, y, scenario), result);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn mc_key(
+    pub(crate) fn mc_key(
         x: &DesignPoint,
         y: &DesignPoint,
         scenario: Scenario,
@@ -403,46 +363,47 @@ impl SweepMemo {
             samples as u64,
         ]
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mc_lookup(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        range: E2oRange,
-        ratio_uncertainty: f64,
-        seed: u64,
-        samples: usize,
-    ) -> Option<McSummary> {
-        self.mc.lookup(&Self::mc_key(
-            x,
-            y,
-            scenario,
-            range,
-            ratio_uncertainty,
-            seed,
-            samples,
-        ))
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn mc_insert(
-        &mut self,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        range: E2oRange,
-        ratio_uncertainty: f64,
-        seed: u64,
-        samples: usize,
-        summary: McSummary,
-    ) {
-        self.mc.insert(
-            Self::mc_key(x, y, scenario, range, ratio_uncertainty, seed, samples),
-            summary,
-        );
-    }
+/// The one memoized-evaluation path: answers items whose `key` is in
+/// `table` from the memo, calls `evaluate` once on the misses, inserts
+/// the fresh results, and returns every result in item order. Without a
+/// memo, or while `engine` carries a fault plan, `evaluate` runs on all
+/// `items` and the memo is not touched.
+///
+/// # Errors
+///
+/// `evaluate`'s error, or [`crate::ModelError::Inconsistent`] if it
+/// returns fewer results than misses.
+pub(crate) fn memoized<T: Clone, V: Clone, const N: usize>(
+    memo: Option<&mut SweepMemo>,
+    engine: &Engine,
+    table: fn(&mut SweepMemo) -> &mut MemoTable<N, V>,
+    key: impl Fn(&T) -> [u64; N],
+    items: &[T],
+    evaluate: impl FnOnce(&[T]) -> crate::Result<Vec<V>>,
+) -> crate::Result<Vec<V>> {
+    let Some(table) = memo.filter(|_| engine.faults().is_none()).map(table) else {
+        return evaluate(items);
+    };
+    let hits: Vec<Option<V>> = items.iter().map(|item| table.lookup(&key(item))).collect();
+    let misses: Vec<T> = (items.iter().zip(&hits))
+        .filter(|(_, hit)| hit.is_none())
+        .map(|(item, _)| item.clone())
+        .collect();
+    let mut fresh = evaluate(&misses)?.into_iter();
+    (items.iter().zip(hits))
+        .map(|(item, hit)| match hit {
+            Some(value) => Ok(value),
+            None => {
+                let value = fresh.next().ok_or(crate::ModelError::Inconsistent {
+                    constraint: "a memoized batch returned fewer results than misses",
+                })?;
+                table.insert(key(item), value.clone());
+                Ok(value)
+            }
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -515,12 +476,10 @@ mod tests {
     fn stats_totals_sum_tables() {
         let mut memo = SweepMemo::new();
         let x = DesignPoint::reference();
-        assert!(memo.crossover_lookup(&x, &x, Scenario::FixedWork).is_none());
-        memo.crossover_insert(&x, &x, Scenario::FixedWork, AlphaCrossover::AlwaysOne);
-        assert_eq!(
-            memo.crossover_lookup(&x, &x, Scenario::FixedWork),
-            Some(AlphaCrossover::AlwaysOne)
-        );
+        let key = SweepMemo::crossover_key(&x, &x, Scenario::FixedWork);
+        assert!(memo.crossover.lookup(&key).is_none());
+        memo.crossover.insert(key, AlphaCrossover::AlwaysOne);
+        assert_eq!(memo.crossover.lookup(&key), Some(AlphaCrossover::AlwaysOne));
         let s = memo.stats();
         assert_eq!(s.hits(), 1);
         assert_eq!(s.misses(), 1);

@@ -8,6 +8,7 @@
 
 use crate::design::DesignPoint;
 use crate::error::Result;
+use crate::memo::{memoized, SweepMemo};
 use crate::ncf::Ncf;
 use crate::scenario::Scenario;
 use crate::weight::E2oWeight;
@@ -110,66 +111,38 @@ pub fn alpha_crossover(x: &DesignPoint, y: &DesignPoint, scenario: Scenario) -> 
 }
 
 /// Computes [`alpha_crossover`] for every `(x, y)` pair of a design-space
-/// sweep in parallel, preserving pair order.
+/// sweep in parallel, preserving pair order, through an optional [`SweepMemo`].
 ///
 /// Each crossover is an independent closed-form evaluation, so
 /// [`focal_engine::Engine::par_map`]'s order-preserving merge makes the
 /// result identical at every thread count. Use
 /// [`focal_engine::Engine::serial`] (or `FOCAL_THREADS=1` with
-/// [`focal_engine::Engine::from_env`]) for the exact serial path.
+/// [`focal_engine::Engine::from_env`]) for the exact serial path. A memo
+/// answers already-cached pairs without changing any element.
 pub fn alpha_crossover_batch(
     engine: &focal_engine::Engine,
     pairs: &[(DesignPoint, DesignPoint)],
     scenario: Scenario,
+    memo: Option<&mut SweepMemo>,
 ) -> Vec<AlphaCrossover> {
-    engine.par_map(pairs, |(x, y)| alpha_crossover(x, y, scenario))
+    let key = |(x, y): &(DesignPoint, DesignPoint)| SweepMemo::crossover_key(x, y, scenario);
+    let crossover = |(x, y): &(DesignPoint, DesignPoint)| alpha_crossover(x, y, scenario);
+    let fan = |pairs: &[(DesignPoint, DesignPoint)]| Ok(engine.par_map(pairs, crossover));
+    memoized(memo, engine, |m| &mut m.crossover, key, pairs, fan)
+        // Only an engine that under-returns fails here: recompute serially
+        // rather than panic.
+        .unwrap_or_else(|_| pairs.iter().map(crossover).collect())
 }
 
-/// [`alpha_crossover_batch`] with a [`crate::SweepMemo`]: pairs whose
-/// crossover is already cached are answered from the memo and only the
-/// missing pairs are fanned out to the engine, preserving pair order. The
-/// result is element-wise identical to the unmemoized call.
-///
-/// While `engine` carries a fault plan (see [`focal_engine::Engine::faults`])
-/// the memo is bypassed entirely so injected faults reach the real
-/// evaluation path.
+/// [`alpha_crossover_batch`] with a memo. Kept, with this signature,
+/// because the perfbench harness calls it.
 pub fn alpha_crossover_batch_memo(
     engine: &focal_engine::Engine,
     pairs: &[(DesignPoint, DesignPoint)],
     scenario: Scenario,
-    memo: &mut crate::SweepMemo,
+    memo: &mut SweepMemo,
 ) -> Vec<AlphaCrossover> {
-    if engine.faults().is_some() {
-        return alpha_crossover_batch(engine, pairs, scenario);
-    }
-    let mut cached: Vec<Option<AlphaCrossover>> = pairs
-        .iter()
-        .map(|(x, y)| memo.crossover_lookup(x, y, scenario))
-        .collect();
-    let missing: Vec<(DesignPoint, DesignPoint)> = pairs
-        .iter()
-        .zip(&cached)
-        .filter(|(_, hit)| hit.is_none())
-        .map(|(&pair, _)| pair)
-        .collect();
-    let fresh = alpha_crossover_batch(engine, &missing, scenario);
-    for ((x, y), result) in missing.iter().zip(&fresh) {
-        memo.crossover_insert(x, y, scenario, *result);
-    }
-    let mut fresh = fresh.into_iter();
-    pairs
-        .iter()
-        .zip(cached.iter_mut())
-        .map(|((x, y), hit)| match hit.take() {
-            Some(result) => result,
-            // Misses and fresh results are in the same order by
-            // construction; recompute serially if the engine ever
-            // under-returned rather than panic.
-            None => fresh
-                .next()
-                .unwrap_or_else(|| alpha_crossover(x, y, scenario)),
-        })
-        .collect()
+    alpha_crossover_batch(engine, pairs, scenario, Some(memo))
 }
 
 /// First-order sensitivities of one NCF evaluation: how much the value
@@ -410,6 +383,7 @@ mod tests {
                 &focal_engine::Engine::with_threads(threads),
                 &pairs,
                 Scenario::FixedWork,
+                None,
             );
             assert_eq!(got, want, "threads={threads}");
         }

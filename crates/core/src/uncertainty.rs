@@ -13,6 +13,7 @@
 use crate::design::DesignPoint;
 use crate::error::{ensure_finite, ensure_positive, ModelError, Result};
 use crate::mc_kernel::{self, McParams, MC_GROUP_CHUNKS};
+use crate::memo::{memoized, SweepMemo};
 use crate::ncf::Ncf;
 use crate::scenario::Scenario;
 use crate::weight::E2oRange;
@@ -327,11 +328,11 @@ impl MonteCarloNcf {
 
     /// Draws `samples` NCF values for `x` vs `y` under `scenario` and
     /// summarizes them, parallelizing across the engine selected by
-    /// `FOCAL_THREADS` (see [`MonteCarloNcf::run_on`]).
+    /// `FOCAL_THREADS` (see [`MonteCarloNcf::run_memo_on`]).
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloNcf::run_on`].
+    /// See [`MonteCarloNcf::run_memo_on`].
     pub fn run(
         &self,
         x: &DesignPoint,
@@ -342,7 +343,48 @@ impl MonteCarloNcf {
         self.run_on(&Engine::from_env(), x, y, scenario, samples)
     }
 
-    /// [`MonteCarloNcf::run`] on an explicit [`Engine`].
+    /// [`MonteCarloNcf::run_memo_on`] without a memo. Kept, with this
+    /// signature, because the perfbench harness calls it.
+    ///
+    /// # Errors
+    ///
+    /// See [`MonteCarloNcf::run_memo_on`].
+    pub fn run_on(
+        &self,
+        engine: &Engine,
+        x: &DesignPoint,
+        y: &DesignPoint,
+        scenario: Scenario,
+        samples: usize,
+    ) -> Result<McSummary> {
+        self.run_memo_on(engine, x, y, scenario, samples, None)
+    }
+
+    /// Pinned scalar reference implementation of [`MonteCarloNcf::run_memo_on`]:
+    /// the exact pre-SoA per-sample loop (one serial `StdRng` per chunk,
+    /// per-chunk `Vec`s concatenated in index order). Kept as the oracle
+    /// the vector kernel is differential-tested and benchmarked against;
+    /// model code should call [`MonteCarloNcf::run_memo_on`].
+    ///
+    /// # Errors
+    ///
+    /// Identical to [`MonteCarloNcf::run_memo_on`] — including, by
+    /// construction, every error *value*.
+    pub fn run_scalar_on(
+        &self,
+        engine: &Engine,
+        x: &DesignPoint,
+        y: &DesignPoint,
+        scenario: Scenario,
+        samples: usize,
+    ) -> Result<McSummary> {
+        let mut values = self.sample_values_scalar_on(engine, x, y, scenario, samples)?;
+        values.sort_by(|a, b| a.total_cmp(b));
+        Ok(Self::summarize(&values))
+    }
+
+    /// [`MonteCarloNcf::run`] on an explicit [`Engine`], with an optional
+    /// [`SweepMemo`].
     ///
     /// Sampling is chunked in blocks of [`MC_CHUNK_SAMPLES`]: chunk `c`
     /// seeds its own `StdRng` from `seed + c` and chunk streams occupy
@@ -358,9 +400,14 @@ impl MonteCarloNcf {
     /// depends only on the sorted multiset of samples.
     /// [`MonteCarloNcf::run_scalar_on`] is the pinned pre-SoA reference.
     ///
+    /// A memo answers a repeated `(x, y, scenario, α range, jitter, seed,
+    /// samples)` experiment, so repeated sweeps (e.g. the robustness study
+    /// and its scenario-DSL twin) pay for each distinct experiment once.
+    ///
     /// # Errors
     ///
-    /// * [`ModelError::OutOfRange`] if `samples == 0`.
+    /// * [`ModelError::OutOfRange`] if `samples == 0`, before the memo is
+    ///   consulted.
     /// * [`ModelError::ChunkPoisoned`] if a sampling chunk panics (or the
     ///   engine's fault plan targets one); the error names the lowest failing
     ///   chunk and its derived seed, identically at every thread count.
@@ -368,56 +415,6 @@ impl MonteCarloNcf {
     ///   infinite (including values poisoned by the engine's
     ///   `nan@mc:<index>` fault plan) — the tripwire fires before any summary statistic is
     ///   computed, naming the lowest offending sample index.
-    pub fn run_on(
-        &self,
-        engine: &Engine,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        samples: usize,
-    ) -> Result<McSummary> {
-        let mut values = self.sample_values_on(engine, x, y, scenario, samples)?;
-        values.sort_by(|a, b| a.total_cmp(b));
-        Ok(Self::summarize(&values))
-    }
-
-    /// Pinned scalar reference implementation of [`MonteCarloNcf::run_on`]:
-    /// the exact pre-SoA per-sample loop (one serial `StdRng` per chunk,
-    /// per-chunk `Vec`s concatenated in index order). Kept as the oracle
-    /// the vector kernel is differential-tested and benchmarked against;
-    /// model code should call [`MonteCarloNcf::run_on`].
-    ///
-    /// # Errors
-    ///
-    /// Identical to [`MonteCarloNcf::run_on`] — including, by
-    /// construction, every error *value*.
-    pub fn run_scalar_on(
-        &self,
-        engine: &Engine,
-        x: &DesignPoint,
-        y: &DesignPoint,
-        scenario: Scenario,
-        samples: usize,
-    ) -> Result<McSummary> {
-        let mut values = self.sample_values_scalar_on(engine, x, y, scenario, samples)?;
-        values.sort_by(|a, b| a.total_cmp(b));
-        Ok(Self::summarize(&values))
-    }
-
-    /// [`MonteCarloNcf::run_on`] with a [`crate::SweepMemo`]: an experiment
-    /// with an identical `(x, y, scenario, α range, jitter, seed, samples)`
-    /// key is answered from the memo; a miss runs the real sampler and
-    /// caches the summary. Repeated sweeps (e.g. the robustness study and
-    /// its scenario-DSL twin) therefore pay for each distinct experiment
-    /// once.
-    ///
-    /// While `engine` carries a fault plan (see [`Engine::faults`]) the
-    /// memo is bypassed entirely so injected faults reach the real sampler.
-    ///
-    /// # Errors
-    ///
-    /// See [`MonteCarloNcf::run`]; `samples == 0` is rejected before the
-    /// memo is consulted.
     pub fn run_memo_on(
         &self,
         engine: &Engine,
@@ -425,41 +422,30 @@ impl MonteCarloNcf {
         y: &DesignPoint,
         scenario: Scenario,
         samples: usize,
-        memo: &mut crate::SweepMemo,
+        memo: Option<&mut SweepMemo>,
     ) -> Result<McSummary> {
-        if samples == 0 || engine.faults().is_some() {
-            return self.run_on(engine, x, y, scenario, samples);
-        }
-        if let Some(summary) = memo.mc_lookup(
-            x,
-            y,
-            scenario,
-            self.range,
-            self.ratio_uncertainty,
-            self.seed,
-            samples,
-        ) {
-            return Ok(summary);
-        }
-        let summary = self.run_on(engine, x, y, scenario, samples)?;
-        memo.mc_insert(
-            x,
-            y,
-            scenario,
-            self.range,
-            self.ratio_uncertainty,
-            self.seed,
-            samples,
-            summary.clone(),
-        );
-        Ok(summary)
+        let (range, jitter, seed) = (self.range, self.ratio_uncertainty, self.seed);
+        let key = |&n: &usize| SweepMemo::mc_key(x, y, scenario, range, jitter, seed, n);
+        let summarize = |&n: &usize| {
+            let mut values = self.sample_values_on(engine, x, y, scenario, n)?;
+            values.sort_by(|a, b| a.total_cmp(b));
+            Ok(Self::summarize(&values))
+        };
+        let run = |counts: &[usize]| counts.iter().map(summarize).collect();
+        // The sampler rejects `samples == 0` before the memo is consulted.
+        let memo = memo.filter(|_| samples > 0);
+        memoized(memo, engine, |m| &mut m.mc, key, &[samples], run)?
+            .pop()
+            .ok_or(ModelError::Inconsistent {
+                constraint: "a Monte-Carlo experiment produced no summary",
+            })
     }
 
     /// Draws the raw sample buffer through the SoA lockstep kernel,
     /// applies the engine's `nan@mc:<index>` fault poke, if any, and runs the
     /// non-finite tripwire. Exposed (for benchmarks and differential
     /// tests) because it isolates generation cost from the sort and
-    /// summary that [`MonteCarloNcf::run_on`] adds on top.
+    /// summary that [`MonteCarloNcf::run_memo_on`] adds on top.
     ///
     /// The buffer's *order* is an internal layout detail: full groups of
     /// [`MC_GROUP_CHUNKS`] chunks may be lane-interleaved on machines
@@ -471,7 +457,7 @@ impl MonteCarloNcf {
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloNcf::run_on`].
+    /// See [`MonteCarloNcf::run_memo_on`].
     pub fn sample_values_on(
         &self,
         engine: &Engine,
@@ -545,7 +531,7 @@ impl MonteCarloNcf {
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloNcf::run_on`].
+    /// See [`MonteCarloNcf::run_memo_on`].
     pub fn sample_values_scalar_on(
         &self,
         engine: &Engine,
@@ -643,7 +629,7 @@ impl MonteCarloNcf {
     ///
     /// # Errors
     ///
-    /// See [`MonteCarloNcf::run_on`].
+    /// See [`MonteCarloNcf::run_memo_on`].
     pub fn run_with_center(
         &self,
         x: &DesignPoint,

@@ -11,9 +11,9 @@
 use focal_core::{
     alpha_crossover_batch, alpha_crossover_batch_memo, classify_over_range_memo_on,
     classify_over_range_on, DesignPoint, E2oRange, MonteCarloNcf, Scenario, SweepMemo,
-    MC_CHUNK_SAMPLES, MC_GROUP_CHUNKS,
+    SweepMemoStats, MC_CHUNK_SAMPLES, MC_GROUP_CHUNKS,
 };
-use focal_engine::Engine;
+use focal_engine::{Engine, FaultPlan};
 use proptest::prelude::*;
 
 fn arb_design() -> impl Strategy<Value = DesignPoint> {
@@ -87,24 +87,29 @@ proptest! {
         x in arb_design(),
         y in arb_design(),
         seed in any::<u64>(),
+        threads in (0usize..3).prop_map(|pick| match pick {
+            0 => 1,
+            1 => 2,
+            _ => 7,
+        }),
     ) {
-        let engine = Engine::serial();
+        let engine = Engine::with_threads(threads);
         let mut memo = SweepMemo::new();
 
         let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, seed).expect("valid jitter");
         let samples = 2 * MC_CHUNK_SAMPLES + 257;
         let plain = mc.run_on(&engine, &x, &y, Scenario::FixedWork, samples).expect("runs");
         let cold = mc
-            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, &mut memo)
+            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, Some(&mut memo))
             .expect("runs");
         let warm = mc
-            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, &mut memo)
+            .run_memo_on(&engine, &x, &y, Scenario::FixedWork, samples, Some(&mut memo))
             .expect("runs");
         prop_assert_eq!(&cold, &plain);
         prop_assert_eq!(&warm, &plain);
         prop_assert_eq!(memo.stats().mc.hits, 1);
 
-        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31).expect("runs");
+        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 31, None).expect("runs");
         let cold =
             classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 31, &mut memo)
                 .expect("runs");
@@ -116,7 +121,7 @@ proptest! {
 
         let pairs = [(x, y), (y, x), (x, y)];
         for scenario in [Scenario::FixedWork, Scenario::FixedTime] {
-            let plain = alpha_crossover_batch(&engine, &pairs, scenario);
+            let plain = alpha_crossover_batch(&engine, &pairs, scenario, None);
             let cold = alpha_crossover_batch_memo(&engine, &pairs, scenario, &mut memo);
             let warm = alpha_crossover_batch_memo(&engine, &pairs, scenario, &mut memo);
             prop_assert_eq!(&cold, &plain);
@@ -138,7 +143,7 @@ proptest! {
         let fine =
             classify_over_range_memo_on(&engine, &x, &y, E2oRange::FULL, 21, &mut memo)
                 .expect("runs");
-        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 21).expect("runs");
+        let plain = classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 21, None).expect("runs");
         prop_assert_eq!(&fine, &plain);
         let stats = memo.stats().classify;
         prop_assert!(stats.hits >= 11, "coarse grid points should all hit, got {:?}", stats);
@@ -148,6 +153,41 @@ proptest! {
             stats
         );
     }
+}
+
+/// An engine carrying a fault plan bypasses the memo entirely: even a
+/// plan that never fires leaves every counter at zero, and each memoized
+/// operation still returns exactly its unmemoized result.
+#[test]
+fn an_armed_engine_never_touches_the_memo() {
+    let plan = Box::leak(Box::new(
+        FaultPlan::parse("nan@mc:999999999").expect("valid spec"),
+    ));
+    let engine = Engine::serial().with_faults(plan);
+    let x = DesignPoint::from_power_perf(0.7, 0.9, 1.1).expect("valid");
+    let y = DesignPoint::reference();
+    let mut memo = SweepMemo::new();
+
+    let mc = MonteCarloNcf::new(E2oRange::FULL, 0.1, 3).expect("valid jitter");
+    for _ in 0..2 {
+        assert_eq!(
+            mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 1000, Some(&mut memo))
+                .expect("runs"),
+            mc.run_memo_on(&engine, &x, &y, Scenario::FixedWork, 1000, None)
+                .expect("runs")
+        );
+        assert_eq!(
+            classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 11, Some(&mut memo))
+                .expect("runs"),
+            classify_over_range_on(&engine, &x, &y, E2oRange::FULL, 11, None).expect("runs")
+        );
+        let pairs = [(x, y), (y, x)];
+        assert_eq!(
+            alpha_crossover_batch(&engine, &pairs, Scenario::FixedTime, Some(&mut memo)),
+            alpha_crossover_batch(&engine, &pairs, Scenario::FixedTime, None)
+        );
+    }
+    assert_eq!(memo.stats(), SweepMemoStats::default());
 }
 
 /// `samples == 1`: one value is every order statistic, and the unbiased

@@ -5,6 +5,7 @@
 //!
 //! * [`Table`] — aligned plain-text and Markdown tables.
 //! * [`CsvWriter`] / [`write_cell`] — RFC-4180 CSV for downstream plotting.
+//! * [`json_escape`] — the one JSON string escape.
 //! * [`AsciiChart`] / [`ChartSeries`] — terminal scatter plots of each
 //!   figure's series.
 
@@ -13,8 +14,10 @@
 
 mod chart;
 mod csv;
+mod json;
 mod table;
 
 pub use chart::{AsciiChart, ChartSeries};
 pub use csv::{write_cell, CsvWriter};
+pub use json::json_escape;
 pub use table::{Align, Table};

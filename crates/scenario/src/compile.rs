@@ -330,39 +330,15 @@ pub fn load_dir(dir: &Path) -> Result<Vec<CompiledScenario>> {
 /// Evaluates a batch of scenarios on the engine. Non-robustness
 /// scenarios fan out through `try_par_map` under the suite's seed/chunk
 /// discipline; robustness scenarios run afterwards, each on the full
-/// engine (they parallelize internally). Results come back in input
-/// order as `(id, per-scenario result)` so one failing scenario does
-/// not take down the batch.
+/// engine (they parallelize internally), in order through `memo` if
+/// given. Results come back in input order as `(id, per-scenario
+/// result)` so one failing scenario does not take down the batch.
 ///
 /// # Errors
 ///
 /// Returns `ChunkPoisoned` if a parallel chunk dies without a
 /// per-scenario diagnosis (worker panic or poisoned channel).
 pub fn evaluate_all_on(
-    engine: &Engine,
-    scenarios: &[CompiledScenario],
-) -> focal_core::Result<Vec<(String, focal_core::Result<ScenarioOutput>)>> {
-    evaluate_all(engine, scenarios, None)
-}
-
-/// [`evaluate_all_on`] with a [`SweepMemo`]: robustness scenarios run
-/// through it (strictly sequentially, since the memo is a single mutable
-/// table) while the non-robustness fan is unchanged. Output is
-/// element-wise identical to [`evaluate_all_on`].
-///
-/// # Errors
-///
-/// See [`evaluate_all_on`].
-pub fn evaluate_all_memo_on(
-    engine: &Engine,
-    scenarios: &[CompiledScenario],
-    memo: &mut SweepMemo,
-) -> focal_core::Result<Vec<(String, focal_core::Result<ScenarioOutput>)>> {
-    evaluate_all(engine, scenarios, Some(memo))
-}
-
-/// The body of [`evaluate_all_on`] and [`evaluate_all_memo_on`].
-fn evaluate_all(
     engine: &Engine,
     scenarios: &[CompiledScenario],
     mut memo: Option<&mut SweepMemo>,
@@ -386,6 +362,20 @@ fn evaluate_all(
         out.push((scenario.id().to_string(), result));
     }
     Ok(out)
+}
+
+/// [`evaluate_all_on`] with a memo. Kept, with this signature, because
+/// the perfbench harness calls it.
+///
+/// # Errors
+///
+/// See [`evaluate_all_on`].
+pub fn evaluate_all_memo_on(
+    engine: &Engine,
+    scenarios: &[CompiledScenario],
+    memo: &mut SweepMemo,
+) -> focal_core::Result<Vec<(String, focal_core::Result<ScenarioOutput>)>> {
+    evaluate_all_on(engine, scenarios, Some(memo))
 }
 
 #[cfg(test)]
@@ -456,7 +446,7 @@ mod tests {
             compile("[scenario]\nid = \"c\"\nkind = \"finding\"\nindex = 16\nstudy = \"gating\"\n"),
         ];
         let engine = Engine::serial();
-        let results = evaluate_all_on(&engine, &scenarios).unwrap();
+        let results = evaluate_all_on(&engine, &scenarios, None).unwrap();
         let ids: Vec<&str> = results.iter().map(|(id, _)| id.as_str()).collect();
         assert_eq!(ids, ["b", "a", "c"]);
         for (id, result) in &results {

@@ -23,7 +23,7 @@ fn memo_batch_output_is_byte_identical_across_corpus_and_threads() {
         scenarios.len()
     );
     let serial = Engine::serial();
-    let baseline = evaluate_all_on(&serial, &scenarios).expect("unmemoized batch runs");
+    let baseline = evaluate_all_on(&serial, &scenarios, None).expect("unmemoized batch runs");
 
     let mut memo = SweepMemo::new();
     for engine in [Engine::serial(), Engine::with_threads(3)] {

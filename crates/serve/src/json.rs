@@ -11,9 +11,10 @@
 //!   the byte offset of the first malformed construct. It never panics
 //!   on any input: the negative-protocol corpus in
 //!   `tests/protocol_negative.rs` pins this.
-//! * [`escape`] — the string-escaping half of rendering. Responses are
-//!   assembled by `format!` from escaped fragments (the same approach
-//!   the suite's JSON report uses), so rendering is deterministic by
+//! * [`escape`] — the string-escaping half of rendering, re-exported
+//!   from `focal_report::json_escape`. Responses are assembled by
+//!   `format!` from escaped fragments (the same routine the suite's JSON
+//!   report uses), so rendering is deterministic by
 //!   construction: objects are emitted in a fixed key order, never
 //!   iterated from a map.
 //!
@@ -21,6 +22,7 @@
 //! rather than a hash map: iteration order is input order, which keeps
 //! error reporting (first unknown key wins) deterministic.
 
+pub use focal_bench::json_escape as escape;
 use std::fmt;
 
 /// Maximum nesting depth accepted by the parser. Request envelopes are
@@ -128,26 +130,6 @@ impl JsonValue {
             .find(|(k, _)| k == key)
             .map(|(_, v)| v)
     }
-}
-
-/// Escapes `s` for embedding in a JSON string literal (quotes not
-/// included). Mirrors the suite report's escaping so serve and suite
-/// output stay diffable with the same tooling.
-#[must_use]
-pub fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Byte-cursor recursive-descent parser.

@@ -69,10 +69,10 @@ pub fn verdict_robustness(
 /// [`verdict_robustness`] on an explicit engine, with an optional
 /// [`focal_core::SweepMemo`]. The Monte-Carlo sampler uses chunked
 /// per-seed streams, so the agreements are bit-identical at every thread
-/// count. With a memo, every Monte-Carlo experiment is routed through
-/// [`MonteCarloNcf::run_memo_on`], so a second sweep with the same
-/// parameters (e.g. the scenario-DSL twin of the suite's robustness stage)
-/// is answered from the cache. `None` falls back to the unmemoized path.
+/// count. With a memo, a second sweep with the same parameters (e.g. the
+/// scenario-DSL twin of the suite's robustness stage) is answered from
+/// the cache. The `&mut Option` memo parameter is kept because the
+/// perfbench harness calls this function.
 ///
 /// # Errors
 ///
@@ -99,16 +99,9 @@ pub fn verdict_robustness_with(
             (E2oRange::OPERATIONAL_DOMINATED, row.paper_operational),
         ] {
             let mc = MonteCarloNcf::new(range, ratio_jitter, seed)?;
-            let (fw, ft) = match memo.as_deref_mut() {
-                Some(memo) => (
-                    mc.run_memo_on(engine, &x, &y, Scenario::FixedWork, samples, memo)?,
-                    mc.run_memo_on(engine, &x, &y, Scenario::FixedTime, samples, memo)?,
-                ),
-                None => (
-                    mc.run_on(engine, &x, &y, Scenario::FixedWork, samples)?,
-                    mc.run_on(engine, &x, &y, Scenario::FixedTime, samples)?,
-                ),
-            };
+            let mut run =
+                |scenario| mc.run_memo_on(engine, &x, &y, scenario, samples, memo.as_deref_mut());
+            let (fw, ft) = (run(Scenario::FixedWork)?, run(Scenario::FixedTime)?);
             let (expect_fw, expect_ft) = expectations(regime_verdict);
             worst_fw = worst_fw.min(agreement(&fw, expect_fw));
             worst_ft = worst_ft.min(agreement(&ft, expect_ft));

@@ -73,11 +73,18 @@ fn monte_carlo_summaries_are_bit_identical_across_thread_counts() {
 fn alpha_sweeps_are_identical_across_thread_counts() {
     let x = DesignPoint::from_raw(1.3, 0.7, 0.7, 1.0).unwrap();
     let y = DesignPoint::reference();
-    let serial = classify_over_range_on(&Engine::serial(), &x, &y, E2oRange::FULL, 257).unwrap();
+    let serial =
+        classify_over_range_on(&Engine::serial(), &x, &y, E2oRange::FULL, 257, None).unwrap();
     for threads in THREAD_COUNTS {
-        let par =
-            classify_over_range_on(&Engine::with_threads(threads), &x, &y, E2oRange::FULL, 257)
-                .unwrap();
+        let par = classify_over_range_on(
+            &Engine::with_threads(threads),
+            &x,
+            &y,
+            E2oRange::FULL,
+            257,
+            None,
+        )
+        .unwrap();
         assert_eq!(serial.at_center, par.at_center, "{threads} threads");
         assert_eq!(serial.observed, par.observed, "{threads} threads");
         assert_eq!(
@@ -105,9 +112,9 @@ fn crossover_batches_are_identical_across_thread_counts() {
         })
         .collect();
     for scenario in [Scenario::FixedWork, Scenario::FixedTime] {
-        let serial = alpha_crossover_batch(&Engine::serial(), &pairs, scenario);
+        let serial = alpha_crossover_batch(&Engine::serial(), &pairs, scenario, None);
         for threads in THREAD_COUNTS {
-            let par = alpha_crossover_batch(&Engine::with_threads(threads), &pairs, scenario);
+            let par = alpha_crossover_batch(&Engine::with_threads(threads), &pairs, scenario, None);
             assert_eq!(serial, par, "{scenario:?}, {threads} threads");
         }
     }

@@ -105,7 +105,7 @@ fn scenario_digests_are_thread_invariant() {
     let corpus = twins();
     let digests = |threads: usize| -> Vec<(String, String)> {
         let engine = Engine::with_threads(threads);
-        evaluate_all_on(&engine, &corpus)
+        evaluate_all_on(&engine, &corpus, None)
             .expect("batch evaluation must not poison")
             .into_iter()
             .map(|(id, result)| {
